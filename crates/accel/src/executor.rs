@@ -522,9 +522,9 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
 ///
 /// Chunks bound how long a worker holds one shard so P ≫ C interleaves
 /// fairly, but each chunk must stay long enough to (a) amortize the
-/// queue round-trip and (b) keep the fast path's specialized executor
-/// engaged on its first call (it diverts once the run covers the
-/// `|S|·|A|` fused image — see `AccelPipeline::run_samples_fast`). The
+/// queue round-trip and (b) amortize the `|S|·|A|` Q-column resync the
+/// fast path's window-register loop pays on every entry (see
+/// `AccelPipeline::run_samples_fast`). The
 /// result depends only on the shard's own budget and table size, never
 /// on worker count — chunk boundaries are part of the deterministic
 /// schedule.

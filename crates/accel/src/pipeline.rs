@@ -230,7 +230,7 @@ impl<T: Copy> WriteRing<T> {
     }
 }
 
-/// Fused per-`(s, a)` record for the window-register executor: packed
+/// Fused per-`(s, a)` record of the [`FullWidth`] codec: packed
 /// transition (next state in the low bits, terminal flag in bit 31),
 /// reward, and the live Q word, interleaved so every table word an
 /// iteration touches shares one contiguous slab (a single cache line per
@@ -240,7 +240,7 @@ impl<T: Copy> WriteRing<T> {
 /// environment, snapshotted on first fast-path use — exactly as the
 /// reward table is snapshotted at construction, and as the hardware keeps
 /// both tables memory-resident. The Q column is loaded from the committed
-/// `q_mem` at executor entry and written back at exit.
+/// `q_mem` at loop entry and written back at exit.
 #[derive(Debug, Clone, Copy)]
 struct FastCell<V> {
     next_packed: u32,
@@ -248,10 +248,8 @@ struct FastCell<V> {
     q: V,
 }
 
-/// Terminal-state flag in [`FastCell::next_packed`] (and in the low word
-/// of the interleaved executor's packed transition image — see
-/// `crate::interleave`).
-pub(crate) const TERMINAL_BIT: u32 = 1 << 31;
+/// Terminal-state flag in [`FastCell::next_packed`].
+const TERMINAL_BIT: u32 = 1 << 31;
 
 /// Quantized-storage runtime (DESIGN.md §2.14): the stored-format policy
 /// plus the dedicated stochastic-rounding dither LFSR unit
@@ -263,18 +261,18 @@ struct QuantRt {
     rng: Lfsr32,
 }
 
-/// Split (structure-of-arrays) environment image for the *packed
-/// quantized* executor: an aligned `u32` per `(s, a)` that packs the
-/// next state (low 22 bits), the terminal flag and the reward's stored
-/// code, next to a mutable working-format Q column kept *on the storage
-/// grid* (every write runs the stochastic rounder, so dequantized codes
-/// are the only values the column ever holds). Holding the live column
-/// in the working format is a host-executor representation choice, not
-/// a semantic one: the architectural stored image is `stored_bits` wide
-/// — [`PackedQTable`] materialises it, the resource model prices it —
-/// and the on-grid column round-trips through it losslessly, while the
-/// hot loop keeps only the writeback rounder on its dependency chain
-/// (no per-read dequantize, no per-write encode). The split still
+/// Split (structure-of-arrays) environment image of the [`Quantized`]
+/// codec: an aligned `u32` per `(s, a)` that packs the next state (low
+/// 22 bits), the terminal flag and the reward's stored code, next to a
+/// mutable working-format Q column kept *on the storage grid* (every
+/// write runs the stochastic rounder, so dequantized codes are the only
+/// values the column ever holds). Holding the live column in the working
+/// format is a host-executor representation choice, not a semantic one:
+/// the architectural stored image is `stored_bits` wide —
+/// [`PackedQTable`] materialises it, the resource model prices it — and
+/// the on-grid column round-trips through it losslessly, while the hot
+/// loop keeps only the writeback rounder on its dependency chain (no
+/// per-read dequantize of Q, no per-write encode). The split still
 /// narrows the read-only transition stream to half of [`FastCell`]'s
 /// 8 bytes.
 #[derive(Debug, Clone)]
@@ -283,8 +281,7 @@ struct PackedImage<V> {
     q: Vec<V>,
 }
 
-/// Next-state field of [`PackedImage::nr`] words (the packed executor
-/// requires `|S| ≤ 2^22`).
+/// Next-state field of [`PackedImage::nr`] words.
 const PK_STATE_MASK: u32 = (1 << 22) - 1;
 /// Terminal-state flag in [`PackedImage::nr`] words.
 const PK_TERMINAL: u32 = 1 << 22;
@@ -293,80 +290,186 @@ const PK_TERMINAL: u32 = 1 << 22;
 const PK_REWARD_SHIFT: u32 = 24;
 
 /// Invalid window-register address: no real write can carry it (the
-/// fused and interleaved executors track only 3-slot address windows).
-pub(crate) const NO_ADDR: usize = usize::MAX;
+/// window-register loop tracks only 3-slot address windows).
+const NO_ADDR: usize = usize::MAX;
 
-/// Q-table traversal layout for the fast-path executor — the
-/// cache-blocking knob batch training tunes per shard.
-///
-/// Both layouts are bit-identical in results (the `fast_path` and
-/// `scaling` equivalence suites pin this); they differ only in how the
-/// working set streams through the host cache hierarchy:
-///
-/// * [`ActionMajor`](Self::ActionMajor) — the fused [`FastCell`] slab:
-///   each state row's transition/reward/Q words interleave contiguously
-///   (one cache line per `Q8_8` × 8-action row). Fastest when the slab
-///   fits in-cache; costs an `O(|S|·|A|)` image build on first use and
-///   triples the bytes per row when it misses.
-/// * [`StateMajor`](Self::StateMajor) — the general fast path over the
-///   separate Q/reward/transition columns: each access touches only the
-///   2-byte Q word plus the column entries, the smaller footprint when
-///   the table far exceeds cache (and the only executor for
-///   instrumented sinks and non-default hazard/Qmax configs).
-/// * [`Auto`](Self::Auto) — the historical heuristic: divert to the
-///   fused slab when the configuration allows it and the run is long
-///   enough to amortize the image build.
-/// * [`Interleaved`](Self::Interleaved) — the K-way multi-stream
-///   executor (`crate::interleave`, DESIGN.md §2.12): single-pipeline
-///   runs step one stream through it; `IndependentPipelines::
-///   train_batch_with` interleaves several pipelines' sample streams in
-///   one loop so their Q-row loads overlap. Eligibility mirrors the
-///   fused slab plus a ≤32-bit storage width (the packed transition
-///   image carries the reward in the upper lanes of a `u64` word).
-///
-/// `bench_scaling` measures the crossover; `IndependentPipelines::
-/// train_batch` picks a layout per shard from its table footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FastLayout {
-    /// Divert to the fused slab when eligible and amortized (default).
-    Auto,
-    /// Force the fused interleaved slab whenever the config is eligible.
-    ActionMajor,
-    /// Force the general separate-column executor.
-    StateMajor,
-    /// Force the K-way interleaved multi-stream executor whenever the
-    /// config is eligible (falls back to the general executor, like a
-    /// forced `ActionMajor`, when it is not).
-    Interleaved,
+/// A window codec's stage-1 fetch for one `(s, a)`.
+#[derive(Debug, Clone, Copy)]
+struct Fetch<V> {
+    s_next: State,
+    terminal: bool,
+    reward: V,
+    q: V,
 }
 
-/// A pipeline's architectural state checked out to the interleaved
-/// multi-stream executor (`crate::interleave`) for the duration of one
-/// group run, and checked back in at exit.
-///
-/// The Q and Qmax tables are *moved* out (the interleaved loop writes
-/// them directly under immediate-commit semantics — no column resync at
-/// entry or exit, unlike the fused slab), the RNG registers are copied,
-/// and the 3-slot forwarding address windows carry the in-flight write
-/// history exactly as `run_fast_forwarding_qmax` tracks it. The loop
-/// constants (`num_actions`, stage-1 derived multiplier values) ride
-/// along so the executor never needs the pipeline reference mid-run.
-pub(crate) struct FastLane<V> {
-    pub(crate) q: Vec<V>,
-    pub(crate) qmax: Vec<(V, Action)>,
-    pub(crate) start_rng: Lfsr32,
-    pub(crate) behavior_rng: Lfsr32,
-    pub(crate) update_rng: Lfsr32,
-    pub(crate) carry: Option<(State, Option<Action>)>,
-    /// Addresses of the 3 youngest in-flight Q writes ([0] = newest).
-    pub(crate) qw_addr: [usize; 3],
-    /// Addresses of the 3 youngest in-flight Qmax writes.
-    pub(crate) mw_addr: [usize; 3],
-    pub(crate) entry_c1: u64,
-    pub(crate) num_actions: usize,
-    pub(crate) one_minus_alpha: V,
-    pub(crate) alpha_v: V,
-    pub(crate) alpha_gamma: V,
+/// Stored-word codec of the window-register loop
+/// ([`AccelPipeline::run_window`]). A codec owns the image the loop
+/// streams — the per-`(s, a)` transition/reward words and the live Q
+/// column in its storage form — and the writeback rounder, so one loop
+/// body serves every stored format. The loop is monomorphised per codec:
+/// the [`FullWidth`] instance is the plain fused-slab loop, the
+/// [`Quantized`] instance adds only the stochastic rounder on the
+/// writeback path.
+trait WindowCodec<V: QValue> {
+    /// Largest `|S|` the image's next-state field can address.
+    const MAX_STATES: usize;
+    /// Stage-1 fetch of the sample at `addr = s·|A| + a`.
+    fn fetch(&self, addr: usize) -> Fetch<V>;
+    /// Stage-2 read of the Q word at `addr`.
+    fn q(&self, addr: usize) -> V;
+    /// Stages 3→4: put the Eq. (3) result on the stored grid, write it
+    /// at `addr`, and return the stored value.
+    fn writeback(&mut self, addr: usize, raw: V) -> V;
+    /// Load the live Q column from the committed BRAM image.
+    fn load_column(&mut self, q_mem: &[V]);
+    /// Write the live Q column back into the committed BRAM image.
+    fn store_column(&self, q_mem: &mut [V]);
+}
+
+/// The full-width codec (unquantized storage): the fused [`FastCell`]
+/// slab and an identity writeback.
+#[derive(Debug, Clone)]
+struct FullWidth<V>(Vec<FastCell<V>>);
+
+impl<V: QValue> FullWidth<V> {
+    fn build<E: Environment>(env: &E, rewards: &RewardTable<V>) -> Self {
+        let (ns, na) = (env.num_states(), env.num_actions());
+        let mut cells = Vec::with_capacity(ns * na);
+        for s in 0..ns as State {
+            for a in 0..na as Action {
+                let t = env.transition(s, a);
+                cells.push(FastCell {
+                    next_packed: t | if env.is_terminal(t) { TERMINAL_BIT } else { 0 },
+                    reward: rewards.get(s, a),
+                    q: V::zero(),
+                });
+            }
+        }
+        Self(cells)
+    }
+}
+
+impl<V: QValue> WindowCodec<V> for FullWidth<V> {
+    const MAX_STATES: usize = TERMINAL_BIT as usize;
+
+    #[inline(always)]
+    fn fetch(&self, addr: usize) -> Fetch<V> {
+        let c = self.0[addr];
+        Fetch {
+            s_next: c.next_packed & !TERMINAL_BIT,
+            terminal: c.next_packed & TERMINAL_BIT != 0,
+            reward: c.reward,
+            q: c.q,
+        }
+    }
+
+    #[inline(always)]
+    fn q(&self, addr: usize) -> V {
+        self.0[addr].q
+    }
+
+    #[inline(always)]
+    fn writeback(&mut self, addr: usize, raw: V) -> V {
+        self.0[addr].q = raw;
+        raw
+    }
+
+    #[inline]
+    fn load_column(&mut self, q_mem: &[V]) {
+        for (c, &q) in self.0.iter_mut().zip(q_mem) {
+            c.q = q;
+        }
+    }
+
+    #[inline]
+    fn store_column(&self, q_mem: &mut [V]) {
+        for (dst, c) in q_mem.iter_mut().zip(&self.0) {
+            *dst = c.q;
+        }
+    }
+}
+
+impl<V: QValue> PackedImage<V> {
+    /// Rewards were snapped to the stored grid by `enable_quant`, so
+    /// their codes are exact; the Q column is loaded on every entry.
+    fn build<E: Environment>(env: &E, rewards: &RewardTable<V>, policy: &QuantPolicy) -> Self {
+        let (ns, na) = (env.num_states(), env.num_actions());
+        let mut nr = Vec::with_capacity(ns * na);
+        for s in 0..ns as State {
+            for a in 0..na as Action {
+                let t = env.transition(s, a);
+                let rc = policy
+                    .try_code(rewards.get(s, a))
+                    .expect("quantized rewards are on-grid") as u32;
+                nr.push(
+                    (t & PK_STATE_MASK)
+                        | if env.is_terminal(t) { PK_TERMINAL } else { 0 }
+                        | (rc << PK_REWARD_SHIFT),
+                );
+            }
+        }
+        Self {
+            nr,
+            q: vec![V::zero(); ns * na],
+        }
+    }
+}
+
+/// The q4/q6/q8 codec: the split [`PackedImage`] and the stochastic
+/// rounder, dithered by an unrolled view of the `seed_unit::QUANT` LFSR
+/// (bit-identical stream, collapsed back into the register at exit).
+/// Because the column only ever holds dequantized codes, reading it
+/// directly equals dequantize-after-load, and [`QuantPolicy::apply`] is
+/// exactly the writeback hook the other executors run.
+struct Quantized<V> {
+    image: PackedImage<V>,
+    policy: QuantPolicy,
+    dither: Lfsr32Unrolled,
+}
+
+impl<V: QValue> WindowCodec<V> for Quantized<V> {
+    const MAX_STATES: usize = PK_TERMINAL as usize;
+
+    #[inline(always)]
+    fn fetch(&self, addr: usize) -> Fetch<V> {
+        let w = self.image.nr[addr];
+        Fetch {
+            s_next: w & PK_STATE_MASK,
+            terminal: w & PK_TERMINAL != 0,
+            reward: self.policy.dequantize::<V>(u64::from(w >> PK_REWARD_SHIFT)),
+            q: self.image.q[addr],
+        }
+    }
+
+    #[inline(always)]
+    fn q(&self, addr: usize) -> V {
+        self.image.q[addr]
+    }
+
+    #[inline(always)]
+    fn writeback(&mut self, addr: usize, raw: V) -> V {
+        let v = self.policy.apply(raw, u64::from(self.dither.next_u32()));
+        self.image.q[addr] = v;
+        v
+    }
+
+    #[inline]
+    fn load_column(&mut self, q_mem: &[V]) {
+        // On-grid invariant: with quantization active every committed Q
+        // word sits on the stored grid (writes are quantized, SEU
+        // strikes flip code-domain bits), so the working-format copy is
+        // exactly the dequantized stored image.
+        debug_assert!(
+            q_mem.iter().all(|&q| self.policy.try_code(q).is_some()),
+            "quantized q_mem is on-grid"
+        );
+        self.image.q.copy_from_slice(q_mem);
+    }
+
+    #[inline]
+    fn store_column(&self, q_mem: &mut [V]) {
+        q_mem.copy_from_slice(&self.image.q);
+    }
 }
 
 /// The pipeline core shared by the Q-Learning and SARSA engines (and, in
@@ -399,18 +502,12 @@ pub struct AccelPipeline<V, S: TraceSink = NullSink> {
     q_mem: Vec<V>,
     qmax_mem: Vec<(V, Action)>,
     rewards: RewardTable<V>,
-    // Fused (transition, reward, Q) image for the window-register
-    // executor, built once on first use (see `run_fast_forwarding_qmax`).
-    fast_image: Option<Vec<FastCell<V>>>,
-    // Packed (transition, reward) words for the interleaved multi-stream
-    // executor, built once on first use and shared (`Arc`) across the
-    // streams of a group when their environments coincide (see
-    // `crate::interleave`). Like `fast_image`, a derived cache of
-    // immutable environment data — never checkpointed.
-    tr_image: Option<std::sync::Arc<Vec<u64>>>,
-    // Split (transition | terminal | reward code) + on-grid Q-column
-    // image for the packed quantized executor; built on first use,
-    // invalidated whenever the quantization policy changes.
+    // Images of the two window codecs, built on first use (see
+    // `run_window`) and invalidated whenever the rewards or the
+    // quantization policy change: the fused slab of the full-width
+    // codec, and the split image of the quantized codec. Derived caches
+    // of immutable environment data — never checkpointed.
+    fast_image: Option<FullWidth<V>>,
     packed_image: Option<PackedImage<V>>,
     // In-flight writes (queues are the source of truth; the indices are
     // O(1) newest-writer accelerators kept in sync on push/retire).
@@ -518,7 +615,6 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             qmax_mem,
             rewards: RewardTable::from_env(env),
             fast_image: None,
-            tr_image: None,
             packed_image: None,
             pending_q: VecDeque::new(),
             pending_qmax: VecDeque::new(),
@@ -565,7 +661,6 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         }
         // Derived caches embed rewards / Q codes: rebuild on next use.
         self.fast_image = None;
-        self.tr_image = None;
         self.packed_image = None;
         let seeds = SeedSequence::new(self.config.trainer.seed);
         let rng = Lfsr32::new(
@@ -640,10 +735,9 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         self.num_actions
     }
 
-    /// Bytes of the fused fast-path slab ([`FastLayout::ActionMajor`]'s
-    /// working set): `|S|·|A|` interleaved transition/reward/Q cells.
-    /// The cache-blocking layout pick in `train_batch` compares this
-    /// against its per-shard cache budget.
+    /// Bytes of the full-width codec's fused slab (the fast loop's
+    /// working set when storage is unquantized): `|S|·|A|` interleaved
+    /// transition/reward/Q cells.
     pub fn fast_slab_bytes(&self) -> usize {
         self.num_states
             .saturating_mul(self.num_actions)
@@ -1444,112 +1538,87 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// loop iteration, closed-form cycle accounting, no per-cycle queue
     /// bookkeeping — and bit-identical results.
     ///
-    /// The architectural trick: in `Forwarding` and `StallOnly` modes
-    /// every read returns the *newest* write to its address (via the
-    /// forwarding network, or because the front end stalled until the
-    /// write landed). So the fast path commits writes to memory
-    /// immediately and keeps only a [`FAST_RING`]-entry window of
-    /// `(address, commit cycle)` history to reproduce the forward counts
-    /// and stall delays the real pipeline reports. `Ignore` mode is the
-    /// one place stale values are architecturally visible, so there the
-    /// ring carries real delayed writes, drained per read — still O(1),
-    /// still allocation-free.
+    /// Two loops sit behind this entry point:
+    ///
+    /// - the **window-register loop** (`run_window`),
+    ///   taken whenever the configuration allows it: uninstrumented sink,
+    ///   no fault runtime, `Forwarding` hazards, `QmaxArray` maxima, and
+    ///   `|S|` within the stored-word codec's address bound (full-width
+    ///   storage, or a quantized format of at most 8 stored bits). Every
+    ///   entry resyncs the codec's whole `O(|S|·|A|)` Q column from the
+    ///   committed BRAM image and writes it back at exit (the first entry
+    ///   also builds the environment image), so a call costs
+    ///   `O(n + |S|·|A|)`: calls shorter than the table pay mostly for the
+    ///   resync.
+    /// - the **general executor** otherwise. In `Forwarding` and
+    ///   `StallOnly` modes every read returns the *newest* write to its
+    ///   address (via the forwarding network, or because the front end
+    ///   stalled until the write landed), so it commits writes to memory
+    ///   immediately and keeps only a [`FAST_RING`]-entry window of
+    ///   `(address, commit cycle)` history to reproduce the forward
+    ///   counts and stall delays the real pipeline reports. `Ignore` mode
+    ///   is the one place stale values are architecturally visible, so
+    ///   there the ring carries real delayed writes, drained per read —
+    ///   still O(1), still allocation-free. It mirrors every perf counter
+    ///   for instrumented sinks.
     ///
     /// Entry/exit protocols convert between the cycle-accurate pending
-    /// queues and the ring so the two executors can be interleaved freely
-    /// on one pipeline: final Q-table, Qmax table, and [`CycleStats`] are
-    /// bit-identical to [`run_samples`](Self::run_samples) (enforced by
-    /// the `fast_path` equivalence tests). One observable caveat: the raw
-    /// *committed* BRAM image may lead the cycle-accurate formulation by
-    /// up to the pipeline depth at the moment of return, which matters
-    /// only to [`inject_q_bit_flip`](Self::inject_q_bit_flip) racing an
-    /// in-flight write.
+    /// queues and each loop's window so the executors can be interleaved
+    /// freely on one pipeline: final Q-table, Qmax table, and
+    /// [`CycleStats`] are bit-identical to [`run_samples`](Self::run_samples)
+    /// (enforced by the `fast_path` equivalence tests). One observable
+    /// caveat: the raw *committed* BRAM image may lead the cycle-accurate
+    /// formulation by up to the pipeline depth at the moment of return,
+    /// which matters only to [`inject_q_bit_flip`](Self::inject_q_bit_flip)
+    /// racing an in-flight write.
     pub fn run_samples_fast<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
-        self.run_samples_fast_planned(env, n, FastLayout::Auto)
-    }
-
-    /// [`run_samples_fast`](Self::run_samples_fast) with an explicit
-    /// Q-table traversal [`FastLayout`] — bit-identical results under
-    /// every layout, different cache behaviour (see [`FastLayout`]).
-    /// A forced [`FastLayout::ActionMajor`] falls back to the general
-    /// executor when the configuration is ineligible for the fused slab
-    /// (instrumented sink, non-forwarding hazard, exact-scan Qmax).
-    pub fn run_samples_fast_planned<E: Environment>(
-        &mut self,
-        env: &E,
-        n: u64,
-        layout: FastLayout,
-    ) -> CycleStats {
         debug_assert_eq!(env.num_states(), self.num_states, "environment mismatch");
         debug_assert_eq!(env.num_actions(), self.num_actions, "environment mismatch");
 
-        // The default Forwarding + Qmax-array configuration never stalls,
-        // which collapses the visibility horizons to fixed sample
-        // distances: take the window-register executor. Its fused
-        // environment image costs O(|S|·|A|) to build, so `Auto` only
-        // diverts once a run is long enough to amortize the build —
-        // after which the cached image makes the executor worthwhile at
-        // any length. The executor is uninstrumented by design (its
-        // whole point is eliding per-access bookkeeping), so an
-        // instrumented sink takes the general fast path below, which
-        // mirrors every counter.
-        let fused_eligible = n > 0
-            && !S::COUNTERS
-            && !S::EVENTS
-            && !S::HEALTH
-            && self.fault.is_none()
-            && self.quant.is_none()
-            && self.config.hazard == HazardMode::Forwarding
-            && self.config.trainer.max_mode == MaxMode::QmaxArray
-            && self.num_states < (1usize << 31);
-        let take_fused = match layout {
-            FastLayout::ActionMajor => fused_eligible,
-            FastLayout::StateMajor | FastLayout::Interleaved => false,
-            FastLayout::Auto => {
-                fused_eligible
-                    && (self.fast_image.is_some()
-                        || n as u128 >= (self.num_states * self.num_actions) as u128)
-            }
-        };
-        if take_fused {
-            return self.run_fast_forwarding_qmax(env, n);
-        }
-        // Quantized counterpart of the fused executor: same predicate
-        // shape, but the table must fit the [`PackedImage`] lanes (|S| ≤
-        // 2^22, stored codes ≤ 8 bits). Ineligible quantized configs
-        // fall through to the general executor (or the cycle engine),
-        // which applies the identical writeback quantizer — results stay
-        // bit-exact in every hazard mode.
-        let packed_eligible = n > 0
+        // The window-register loop is uninstrumented by design (its whole
+        // point is eliding per-access bookkeeping), so an instrumented
+        // sink takes the general executor below, which mirrors every
+        // counter. Ineligible quantized configs fall through too: the
+        // general executor applies the identical writeback quantizer.
+        let window = n > 0
             && !S::COUNTERS
             && !S::EVENTS
             && !S::HEALTH
             && self.fault.is_none()
             && self.config.hazard == HazardMode::Forwarding
             && self.config.trainer.max_mode == MaxMode::QmaxArray
-            && self.num_states <= (1usize << 22)
-            && self
-                .quant
-                .as_ref()
-                .is_some_and(|q| q.policy.stored_bits() <= 8);
-        let take_packed = match layout {
-            FastLayout::ActionMajor | FastLayout::Interleaved => packed_eligible,
-            FastLayout::StateMajor => false,
-            FastLayout::Auto => {
-                packed_eligible
-                    && (self.packed_image.is_some()
-                        || n as u128 >= (self.num_states * self.num_actions) as u128)
+            && match &self.quant {
+                None => self.num_states <= FullWidth::<V>::MAX_STATES,
+                Some(q) => {
+                    self.num_states <= Quantized::<V>::MAX_STATES && q.policy.stored_bits() <= 8
+                }
+            };
+        if window {
+            match self.quant.take() {
+                None => {
+                    let codec = self
+                        .fast_image
+                        .take()
+                        .unwrap_or_else(|| FullWidth::build(env, &self.rewards));
+                    self.fast_image = Some(self.run_window(env, n, codec));
+                }
+                Some(mut quant) => {
+                    let image = self
+                        .packed_image
+                        .take()
+                        .unwrap_or_else(|| PackedImage::build(env, &self.rewards, &quant.policy));
+                    let codec = Quantized {
+                        image,
+                        policy: quant.policy,
+                        dither: Lfsr32Unrolled::new(&quant.rng),
+                    };
+                    let codec = self.run_window(env, n, codec);
+                    quant.rng = codec.dither.into_lfsr();
+                    self.packed_image = Some(codec.image);
+                    self.quant = Some(quant);
+                }
             }
-        };
-        if take_packed {
-            return self.run_fast_forwarding_qmax_packed(env, n);
-        }
-        // A forced Interleaved layout runs the K-way executor as a group
-        // of one stream (the multi-pipeline grouping lives in
-        // `IndependentPipelines::train_batch_with`); ineligible configs
-        // fall through to the general executor below, bit-identically.
-        if layout == FastLayout::Interleaved && self.interleave_eligible(n) {
-            return crate::interleave::run_single(self, env, n);
+            return self.stats;
         }
 
         let immediate = self.config.hazard != HazardMode::Ignore;
@@ -1719,7 +1788,8 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         self.stats
     }
 
-    /// The window-register executor for `Forwarding` + `QmaxArray`.
+    /// The window-register loop for `Forwarding` + `QmaxArray`, generic
+    /// over the stored-word codec `C` (see [`WindowCodec`]).
     ///
     /// In that configuration every read delay is zero, so stage-1 issues
     /// at consecutive cycles and every write lands exactly
@@ -1737,13 +1807,22 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     ///
     /// So the whole forwarding network reduces to three address
     /// registers rotated once per sample — no ring scans, no cycle
-    /// arithmetic in the loop. A dense `|S|·|A|` LUT of packed
-    /// `(next_state, terminal)` words replaces the per-sample transition
-    /// call, and the ε-greedy comparator thresholds are hoisted out of
-    /// the loop; the RNG draw sequence is unchanged, so results stay
-    /// bit-identical (the `fast_path` equivalence tests run this
-    /// executor wherever the config matches).
-    fn run_fast_forwarding_qmax<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
+    /// arithmetic in the loop. The codec's dense `|S|·|A|` image of
+    /// `(next_state, terminal, reward)` words replaces the per-sample
+    /// transition call, and the ε-greedy comparator thresholds are
+    /// hoisted out of the loop; the RNG draw order (behaviour → update →
+    /// dither, per retired sample) is unchanged, so results stay
+    /// bit-identical (the `fast_path` and `quant` equivalence tests run
+    /// this loop wherever the config matches).
+    ///
+    /// The codec is taken by value and handed back, so its image handles
+    /// and dither register live in locals for the duration of the loop.
+    fn run_window<C: WindowCodec<V>, E: Environment>(
+        &mut self,
+        env: &E,
+        n: u64,
+        mut codec: C,
+    ) -> C {
         debug_assert!(n > 0);
         let na = self.num_actions;
         let entry_c1 = self.next_c1;
@@ -1800,29 +1879,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         }
         self.fwd_q.clear();
         self.fwd_qmax.clear();
-
-        // Build the fused environment image on first use (see
-        // [`FastCell`]); afterwards only the Q column needs a linear
-        // resync from the freshly committed `q_mem`.
-        if self.fast_image.is_none() {
-            let mut cells = Vec::with_capacity(self.num_states * na);
-            for s in 0..self.num_states as State {
-                for a in 0..na as Action {
-                    let t = env.transition(s, a);
-                    cells.push(FastCell {
-                        next_packed: t | if env.is_terminal(t) { TERMINAL_BIT } else { 0 },
-                        reward: self.rewards.get(s, a),
-                        q: V::zero(),
-                    });
-                }
-            }
-            self.fast_image = Some(cells);
-        }
-        let cells = self.fast_image.as_mut().expect("image just ensured");
-        for (c, &q) in cells.iter_mut().zip(self.q_mem.iter()) {
-            c.q = q;
-        }
-        let cells = &mut cells[..];
+        codec.load_column(&self.q_mem);
 
         let mut carry = self.carry.take();
         let mut forwards = 0u64;
@@ -1868,9 +1925,8 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 },
             };
             let qaddr = s as usize * na + a as usize;
-            let cell = cells[qaddr];
-            let packed = cell.next_packed;
-            let s_next = packed & !TERMINAL_BIT;
+            let f = codec.fetch(qaddr);
+            let s_next = f.s_next;
             forwards += u64::from(
                 qaddr == qw_addr[0] || qaddr == qw_addr[1] || qaddr == qw_addr[2],
             );
@@ -1895,7 +1951,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                     let (an, addr) = read_q2(&mut update_rng, None, 0);
                     last_update_read_q = true;
                     forwards += u64::from(addr == qw_addr[0] || addr == qw_addr[1]);
-                    (an, cells[addr].q)
+                    (an, codec.q(addr))
                 }
                 FastPolicy::Eps(thr) => {
                     let x = update_rng.next_u32();
@@ -1903,7 +1959,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                         let (an, addr) = read_q2(&mut update_rng, Some(x), thr);
                         last_update_read_q = true;
                         forwards += u64::from(addr == qw_addr[0] || addr == qw_addr[1]);
-                        (an, cells[addr].q)
+                        (an, codec.q(addr))
                     } else {
                         last_update_read_q = false;
                         forwards += u64::from(mw_addr[0] == s_next as usize);
@@ -1913,14 +1969,15 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 }
             };
 
-            // Stage 3: Eq. (3).
-            let q_new = one_minus_alpha
-                .mul(cell.q)
-                .add(alpha_v.mul(cell.reward))
+            // Stage 3: Eq. (3), then the codec's rounder on the writeback
+            // path.
+            let q_raw = one_minus_alpha
+                .mul(f.q)
+                .add(alpha_v.mul(f.reward))
                 .add(alpha_gamma.mul(q_next));
 
             // Stage 4: writeback + Qmax RMW, then age the address windows.
-            cells[qaddr].q = q_new;
+            let q_new = codec.writeback(qaddr, q_raw);
             qw_addr[2] = qw_addr[1];
             qw_addr[1] = qw_addr[0];
             qw_addr[0] = qaddr;
@@ -1934,7 +1991,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 mw_addr[0] = NO_ADDR;
             }
 
-            carry = if packed & TERMINAL_BIT != 0 {
+            carry = if f.terminal {
                 None
             } else {
                 Some((s_next, if forward_action { Some(a_next) } else { None }))
@@ -1943,15 +2000,13 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
         // Write the live Q column back into the committed BRAM image and
         // resynchronise the serial RNG registers.
-        for (dst, c) in self.q_mem.iter_mut().zip(cells.iter()) {
-            *dst = c.q;
-        }
+        codec.store_column(&mut self.q_mem);
         self.behavior_rng = behavior_rng.into_lfsr();
         self.update_rng = update_rng.into_lfsr();
 
         // Exit: closed-form cycle accounting and pending-queue
         // reconstruction, so a subsequent cycle-accurate run (or the
-        // general fast path) observes identical state.
+        // general executor) observes identical state.
         self.carry = carry;
         let end_c1 = entry_c1 + n;
         self.next_c1 = end_c1;
@@ -1985,430 +2040,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 self.fwd_qmax.push(p);
             }
         }
-        self.stats
-    }
-
-    /// The packed-table counterpart of
-    /// [`run_fast_forwarding_qmax`](Self::run_fast_forwarding_qmax):
-    /// same window-register forwarding collapse, but the environment
-    /// image is the split [`PackedImage`] (4-byte transition words plus
-    /// an on-grid working-format Q column) instead of 8-byte fused
-    /// cells, and every writeback runs the stochastic rounder inline
-    /// with a dedicated unrolled dither LFSR. Bit-exact against the
-    /// general fast path and the cycle-accurate engine (the `quant`
-    /// test suite pins this): because the column only ever holds
-    /// dequantized codes, reading it directly equals
-    /// dequantize-after-load, and the raw-domain writeback rounder
-    /// ([`QuantPolicy::apply`]) is exactly the hook the other executors
-    /// run; the RNG draw order (behaviour → update → dither, per
-    /// retired sample) is identical.
-    fn run_fast_forwarding_qmax_packed<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
-        debug_assert!(n > 0);
-        let na = self.num_actions;
-        let entry_c1 = self.next_c1;
-        let mut quant = self.quant.take().expect("packed executor requires quant");
-        let policy = quant.policy;
-
-        #[derive(Clone, Copy)]
-        enum FastPolicy {
-            Random,
-            Greedy,
-            Eps(u32),
-        }
-        let resolve = |p: Policy, role: &str| match p {
-            Policy::Random => FastPolicy::Random,
-            Policy::Greedy => FastPolicy::Greedy,
-            Policy::EpsilonGreedy { epsilon } => FastPolicy::Eps(epsilon_to_q32(epsilon)),
-            Policy::Boltzmann { .. } => panic!(
-                "Boltzmann {role} policy is not synthesizable on the QRL engine; \
-                 use the probability-table bandit engine (qtaccel_accel::bandit)"
-            ),
-        };
-        let behavior = resolve(self.config.trainer.behavior, "behaviour");
-        let update = resolve(self.config.trainer.update, "update");
-        let forward_action = self.config.trainer.forward_next_action;
-
-        // Entry protocol: identical to the fused executor.
-        let mut qw_addr = [NO_ADDR; 3]; // [0] = previous iteration
-        while let Some(p) = self.pending_q.pop_front() {
-            self.q_mem[p.addr] = p.value;
-            debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
-            if p.commit_cycle >= entry_c1 {
-                let slot = (entry_c1 + 2 - p.commit_cycle) as usize;
-                qw_addr[slot] = p.addr;
-            }
-        }
-        let mut mw_addr = [NO_ADDR; 3];
-        while let Some(p) = self.pending_qmax.pop_front() {
-            self.qmax_mem[p.addr] = p.value;
-            debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
-            if p.commit_cycle >= entry_c1 {
-                let slot = (entry_c1 + 2 - p.commit_cycle) as usize;
-                mw_addr[slot] = p.addr;
-            }
-        }
-        self.fwd_q.clear();
-        self.fwd_qmax.clear();
-
-        // Build the packed environment image on first use. Rewards were
-        // snapped to the stored grid by `enable_quant`, so their codes
-        // are exact; the Q column is resynced below on every entry.
-        if self.packed_image.is_none() {
-            let mut nr = Vec::with_capacity(self.num_states * na);
-            for s in 0..self.num_states as State {
-                for a in 0..na as Action {
-                    let t = env.transition(s, a);
-                    let rc = policy
-                        .try_code(self.rewards.get(s, a))
-                        .expect("quantized rewards are on-grid") as u32;
-                    nr.push(
-                        (t & PK_STATE_MASK)
-                            | if env.is_terminal(t) { PK_TERMINAL } else { 0 }
-                            | (rc << PK_REWARD_SHIFT),
-                    );
-                }
-            }
-            self.packed_image = Some(PackedImage {
-                nr,
-                q: self.q_mem.clone(),
-            });
-        }
-        let image = self.packed_image.as_mut().expect("image just ensured");
-        // On-grid invariant: with quantization active every committed Q
-        // word sits on the stored grid (writes are quantized, SEU
-        // strikes flip code-domain bits), so the working-format copy is
-        // exactly the dequantized stored image.
-        debug_assert!(
-            self.q_mem.iter().all(|&q| policy.try_code(q).is_some()),
-            "quantized q_mem is on-grid"
-        );
-        image.q.copy_from_slice(&self.q_mem);
-        let nr_tab = &image.nr[..];
-        let qcol = &mut image.q[..];
-
-        let mut carry = self.carry.take();
-        let mut forwards = 0u64;
-        let mut last_update_read_q = false;
-
-        let qmax = &mut self.qmax_mem[..];
-        let (one_minus_alpha, alpha_v, alpha_gamma) =
-            (self.one_minus_alpha, self.alpha_v, self.alpha_gamma);
-
-        let mut behavior_rng = Lfsr32Unrolled::new(&self.behavior_rng);
-        let mut update_rng = Lfsr32Unrolled::new(&self.update_rng);
-        let mut quant_rng = Lfsr32Unrolled::new(&quant.rng);
-
-        for _ in 0..n {
-            // Stage 1: state + behaviour action.
-            let (s, carried_a) = match carry.take() {
-                None => (env.random_start(&mut self.start_rng), None),
-                Some((s, a)) => (s, a),
-            };
-            let a = match carried_a {
-                Some(a) => a,
-                None => match behavior {
-                    FastPolicy::Random => {
-                        ((behavior_rng.next_u32() as u64 * na as u64) >> 32) as u32
-                    }
-                    FastPolicy::Greedy => {
-                        forwards += u64::from(mw_addr[0] == s as usize);
-                        qmax[s as usize].1
-                    }
-                    FastPolicy::Eps(thr) => {
-                        let x = behavior_rng.next_u32();
-                        if x < thr {
-                            ((x as u64 * na as u64) / thr as u64) as u32
-                        } else {
-                            forwards += u64::from(mw_addr[0] == s as usize);
-                            qmax[s as usize].1
-                        }
-                    }
-                },
-            };
-            let qaddr = s as usize * na + a as usize;
-            let packed = nr_tab[qaddr];
-            let q_sa = qcol[qaddr];
-            let s_next = packed & PK_STATE_MASK;
-            forwards += u64::from(
-                qaddr == qw_addr[0] || qaddr == qw_addr[1] || qaddr == qw_addr[2],
-            );
-
-            // Stage 2: update selection one cycle later.
-            let read_q2 = |rng: &mut Lfsr32Unrolled, x: Option<u32>, thr: u32| {
-                let an = match x {
-                    Some(x) => ((x as u64 * na as u64) / thr as u64) as u32,
-                    None => ((rng.next_u32() as u64 * na as u64) >> 32) as u32,
-                };
-                (an, sa_index(s_next, an, na))
-            };
-            let (a_next, q_next) = match update {
-                FastPolicy::Greedy => {
-                    last_update_read_q = false;
-                    forwards += u64::from(mw_addr[0] == s_next as usize);
-                    let (v, an) = qmax[s_next as usize];
-                    (an, v)
-                }
-                FastPolicy::Random => {
-                    let (an, addr) = read_q2(&mut update_rng, None, 0);
-                    last_update_read_q = true;
-                    forwards += u64::from(addr == qw_addr[0] || addr == qw_addr[1]);
-                    (an, qcol[addr])
-                }
-                FastPolicy::Eps(thr) => {
-                    let x = update_rng.next_u32();
-                    if x < thr {
-                        let (an, addr) = read_q2(&mut update_rng, Some(x), thr);
-                        last_update_read_q = true;
-                        forwards += u64::from(addr == qw_addr[0] || addr == qw_addr[1]);
-                        (an, qcol[addr])
-                    } else {
-                        last_update_read_q = false;
-                        forwards += u64::from(mw_addr[0] == s_next as usize);
-                        let (v, an) = qmax[s_next as usize];
-                        (an, v)
-                    }
-                }
-            };
-
-            // Stage 3: Eq. (3) in the working format (the column is
-            // already dequantized), then the stochastic rounder on the
-            // writeback path.
-            let reward = policy.dequantize::<V>(u64::from(packed >> PK_REWARD_SHIFT));
-            let q_raw = one_minus_alpha
-                .mul(q_sa)
-                .add(alpha_v.mul(reward))
-                .add(alpha_gamma.mul(q_next));
-            let q_new = policy.apply(q_raw, u64::from(quant_rng.next_u32()));
-
-            // Stage 4: writeback + Qmax RMW, then age the address windows.
-            qcol[qaddr] = q_new;
-            qw_addr[2] = qw_addr[1];
-            qw_addr[1] = qw_addr[0];
-            qw_addr[0] = qaddr;
-
-            mw_addr[2] = mw_addr[1];
-            mw_addr[1] = mw_addr[0];
-            if q_new.vcmp(qmax[s as usize].0) == core::cmp::Ordering::Greater {
-                qmax[s as usize] = (q_new, a);
-                mw_addr[0] = s as usize;
-            } else {
-                mw_addr[0] = NO_ADDR;
-            }
-
-            carry = if packed & PK_TERMINAL != 0 {
-                None
-            } else {
-                Some((s_next, if forward_action { Some(a_next) } else { None }))
-            };
-        }
-
-        // Write the live Q column (already in the working format, still
-        // on-grid) back into the committed BRAM image and resynchronise
-        // the serial RNG registers.
-        self.q_mem.copy_from_slice(qcol);
-        self.behavior_rng = behavior_rng.into_lfsr();
-        self.update_rng = update_rng.into_lfsr();
-        quant.rng = quant_rng.into_lfsr();
-        self.quant = Some(quant);
-
-        // Exit: closed-form cycle accounting and pending-queue
-        // reconstruction, line for line the fused executor's exit.
-        self.carry = carry;
-        let end_c1 = entry_c1 + n;
-        self.next_c1 = end_c1;
-        self.stats.samples += n;
-        self.stats.forwards += forwards;
-        self.stats.cycles = end_c1 - 1 + WRITE_OFFSET + 1;
-        self.drain_horizon_q = end_c1 - 1 + u64::from(last_update_read_q);
-        self.drain_horizon_qmax = end_c1 - 1 + WRITE_OFFSET;
-        for slot in (0..3).rev() {
-            if qw_addr[slot] != NO_ADDR {
-                let p = Pending {
-                    commit_cycle: end_c1 + 2 - slot as u64,
-                    addr: qw_addr[slot],
-                    value: self.q_mem[qw_addr[slot]],
-                };
-                self.pending_q.push_back(p);
-                self.fwd_q.push(p);
-            }
-            if mw_addr[slot] != NO_ADDR {
-                let p = Pending {
-                    commit_cycle: end_c1 + 2 - slot as u64,
-                    addr: mw_addr[slot],
-                    value: self.qmax_mem[mw_addr[slot]],
-                };
-                self.pending_qmax.push_back(p);
-                self.fwd_qmax.push(p);
-            }
-        }
-        self.stats
-    }
-
-    /// Whether a run of `n` samples may take the interleaved
-    /// multi-stream executor: the fused-slab predicate (uninstrumented,
-    /// fault-free, forwarding hazards, Qmax-array maxima) plus a ≤32-bit
-    /// storage width, because the packed transition image carries the
-    /// reward word in the upper lanes of each 64-bit entry.
-    pub(crate) fn interleave_eligible(&self, n: u64) -> bool {
-        n > 0
-            && !S::COUNTERS
-            && !S::EVENTS
-            && !S::HEALTH
-            && self.fault.is_none()
-            && self.quant.is_none()
-            && self.config.hazard == HazardMode::Forwarding
-            && self.config.trainer.max_mode == MaxMode::QmaxArray
-            && self.num_states < (1usize << 31)
-            && V::storage_bits() <= 32
-    }
-
-    /// Packed `(transition, reward)` image for the interleaved executor:
-    /// word `s·|A| + a` holds the fused-style `next_packed` (next state
-    /// | [`TERMINAL_BIT`]) in the low 32 bits and the reward's storage
-    /// word in the lane starting at bit 32, so one 64-bit load serves
-    /// both stage-1 reads. Built on first use and cached, like
-    /// `fast_image`; the `Arc` lets a stream group share one copy (see
-    /// [`share_tr_image`](Self::share_tr_image)).
-    pub(crate) fn ensure_tr_image<E: Environment>(
-        &mut self,
-        env: &E,
-    ) -> std::sync::Arc<Vec<u64>> {
-        if self.tr_image.is_none() {
-            let na = self.num_actions;
-            let rew_lane = qtaccel_fixed::lanes::lanes_per_u64::<V>() / 2;
-            let mut words = Vec::with_capacity(self.num_states * na);
-            for s in 0..self.num_states as State {
-                for a in 0..na as Action {
-                    let t = env.transition(s, a);
-                    let packed = t | if env.is_terminal(t) { TERMINAL_BIT } else { 0 };
-                    words.push(qtaccel_fixed::lanes::insert_lane(
-                        packed as u64,
-                        rew_lane,
-                        self.rewards.get(s, a),
-                    ));
-                }
-            }
-            self.tr_image = Some(std::sync::Arc::new(words));
-        }
-        self.tr_image.clone().expect("image just ensured")
-    }
-
-    /// Deduplicate this pipeline's cached transition image against a
-    /// group leader's: if the contents coincide (same environment, same
-    /// rewards), drop the private copy and adopt the shared `Arc`, so a
-    /// K-stream group touches one image instead of K. Returns the image
-    /// this pipeline should stream from. The content compare runs once —
-    /// after adoption, `Arc::ptr_eq` short-circuits every later call.
-    pub(crate) fn share_tr_image(
-        &mut self,
-        shared: &std::sync::Arc<Vec<u64>>,
-    ) -> std::sync::Arc<Vec<u64>> {
-        let mine = self.tr_image.as_ref().expect("ensure_tr_image first");
-        if !std::sync::Arc::ptr_eq(mine, shared) && **mine == **shared {
-            self.tr_image = Some(shared.clone());
-        }
-        self.tr_image.clone().expect("image present")
-    }
-
-    /// Entry protocol of the interleaved executor: commit every pending
-    /// write, capture the forwarding window addresses, and move the
-    /// architectural state out into a [`FastLane`]. Identical to
-    /// [`run_fast_forwarding_qmax`]'s entry (same immediate-commit
-    /// semantics, same stall-free write bound), except the Q table
-    /// itself travels — there is no slab column to resync.
-    ///
-    /// [`run_fast_forwarding_qmax`]: Self::run_fast_forwarding_qmax
-    pub(crate) fn interleave_checkout(&mut self) -> FastLane<V> {
-        let entry_c1 = self.next_c1;
-        let mut qw_addr = [NO_ADDR; 3]; // [0] = previous iteration
-        while let Some(p) = self.pending_q.pop_front() {
-            self.q_mem[p.addr] = p.value;
-            debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
-            if p.commit_cycle >= entry_c1 {
-                let slot = (entry_c1 + 2 - p.commit_cycle) as usize;
-                qw_addr[slot] = p.addr;
-            }
-        }
-        let mut mw_addr = [NO_ADDR; 3];
-        while let Some(p) = self.pending_qmax.pop_front() {
-            self.qmax_mem[p.addr] = p.value;
-            debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
-            if p.commit_cycle >= entry_c1 {
-                let slot = (entry_c1 + 2 - p.commit_cycle) as usize;
-                mw_addr[slot] = p.addr;
-            }
-        }
-        self.fwd_q.clear();
-        self.fwd_qmax.clear();
-        FastLane {
-            q: core::mem::take(&mut self.q_mem),
-            qmax: core::mem::take(&mut self.qmax_mem),
-            start_rng: self.start_rng.clone(),
-            behavior_rng: self.behavior_rng.clone(),
-            update_rng: self.update_rng.clone(),
-            carry: self.carry.take(),
-            qw_addr,
-            mw_addr,
-            entry_c1,
-            num_actions: self.num_actions,
-            one_minus_alpha: self.one_minus_alpha,
-            alpha_v: self.alpha_v,
-            alpha_gamma: self.alpha_gamma,
-        }
-    }
-
-    /// Exit protocol of the interleaved executor: move the tables back,
-    /// apply the closed-form cycle accounting, and reconstruct the
-    /// pending queues from the forwarding windows — line for line the
-    /// exit of [`run_fast_forwarding_qmax`], so a subsequent
-    /// cycle-accurate run (or any other executor) observes identical
-    /// state. `n` must be the lane's retired sample count (> 0).
-    ///
-    /// [`run_fast_forwarding_qmax`]: Self::run_fast_forwarding_qmax
-    pub(crate) fn interleave_checkin(
-        &mut self,
-        lane: FastLane<V>,
-        n: u64,
-        forwards: u64,
-        last_update_read_q: bool,
-    ) {
-        debug_assert!(n > 0, "zero-sample lanes must never be checked out");
-        self.q_mem = lane.q;
-        self.qmax_mem = lane.qmax;
-        self.start_rng = lane.start_rng;
-        self.behavior_rng = lane.behavior_rng;
-        self.update_rng = lane.update_rng;
-        self.carry = lane.carry;
-        let end_c1 = lane.entry_c1 + n;
-        self.next_c1 = end_c1;
-        self.stats.samples += n;
-        self.stats.forwards += forwards;
-        self.stats.cycles = end_c1 - 1 + WRITE_OFFSET + 1;
-        self.drain_horizon_q = end_c1 - 1 + u64::from(last_update_read_q);
-        self.drain_horizon_qmax = end_c1 - 1 + WRITE_OFFSET;
-        // Window values are recovered from the committed tables (same
-        // argument as the fused exit: forwarding and `q_table` only ever
-        // observe the newest writer per address).
-        for slot in (0..3).rev() {
-            if lane.qw_addr[slot] != NO_ADDR {
-                let p = Pending {
-                    commit_cycle: end_c1 + 2 - slot as u64,
-                    addr: lane.qw_addr[slot],
-                    value: self.q_mem[lane.qw_addr[slot]],
-                };
-                self.pending_q.push_back(p);
-                self.fwd_q.push(p);
-            }
-            if lane.mw_addr[slot] != NO_ADDR {
-                let p = Pending {
-                    commit_cycle: end_c1 + 2 - slot as u64,
-                    addr: lane.mw_addr[slot],
-                    value: self.qmax_mem[lane.mw_addr[slot]],
-                };
-                self.pending_qmax.push_back(p);
-                self.fwd_qmax.push(p);
-            }
-        }
+        codec
     }
 
     /// Inject a single-event upset: flip `bit` of the *committed* Q BRAM
@@ -2961,7 +2593,6 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         self.lease_epoch = lease_epoch;
         // Derived caches embed rewards / stored codes.
         self.fast_image = None;
-        self.tr_image = None;
         self.packed_image = None;
         if S::HEALTH {
             if let Some(slot) = self.sink.health_mut() {

@@ -1,22 +1,31 @@
-//! Bit-exactness of the fast-path executor against the cycle-accurate
+//! Bit-exactness of the fast-path executors against the cycle-accurate
 //! engine: same Q-table, same Qmax table, same CycleStats, across both
-//! algorithms, every hazard mode, both Qmax semantics, and randomized
-//! grid shapes — plus free interleaving of the two executors on one
-//! pipeline instance.
+//! algorithms, every hazard mode, both Qmax semantics, the 16- and
+//! 32-bit datapaths (plus `f64` values) and randomized grid shapes — plus free interleaving of the
+//! executors on one pipeline instance, and the batch routes
+//! (`train_samples_fast`, `train_batch` with tiny, uneven and
+//! multi-chunk budgets) against per-bank cycle-accurate references.
+//!
+//! The window-register loop runs wherever a config is eligible; the
+//! tables also feed ineligible runtimes (a counter-bearing sink, an
+//! attached fault runtime), which must reach the general executor
+//! bit-identically.
+
+use std::sync::Arc;
 
 use qtaccel_accel::config::{AccelConfig, HazardMode};
 use qtaccel_accel::multi::IndependentPipelines;
 use qtaccel_accel::pipeline::AccelPipeline;
-use qtaccel_accel::qlearning::QLearningAccel;
-use qtaccel_accel::sarsa::SarsaAccel;
+use qtaccel_accel::{FaultConfig, FaultStats, ShardedExecutor};
 use qtaccel_core::policy::Policy;
-use qtaccel_core::qtable::MaxMode;
+use qtaccel_core::qtable::{MaxMode, QTable, QmaxTable};
 use qtaccel_core::trainer::TrainerConfig;
-use qtaccel_envs::{ActionSet, GridWorld, PartitionedGrid};
-use qtaccel_fixed::{Q16_16, Q8_8};
+use qtaccel_envs::{ActionSet, GridWorld};
+use qtaccel_fixed::{QValue, Q16_16, Q8_8};
 use qtaccel_hdl::lfsr::Lfsr32;
 use qtaccel_hdl::pipeline::CycleStats;
 use qtaccel_hdl::rng::RngSource;
+use qtaccel_telemetry::{CounterBank, CountersOnly, NullSink, TraceSink};
 
 const HAZARDS: [HazardMode; 3] = [
     HazardMode::Forwarding,
@@ -40,23 +49,81 @@ fn random_grid(rng: &mut Lfsr32) -> GridWorld {
         .build()
 }
 
-fn assert_identical<V: qtaccel_fixed::QValue>(
-    slow: &AccelPipeline<V>,
-    fast: &AccelPipeline<V>,
-    ss: CycleStats,
-    sf: CycleStats,
-    label: &str,
-) {
-    assert_eq!(ss, sf, "{label}: CycleStats diverged");
-    assert_eq!(
-        slow.q_table().as_slice(),
-        fast.q_table().as_slice(),
-        "{label}: Q-table diverged"
-    );
-    let (qm_s, qm_f) = (slow.qmax_table(), fast.qmax_table());
-    for st in 0..qm_s.len() as qtaccel_envs::State {
-        assert_eq!(qm_s.get(st), qm_f.get(st), "{label}: Qmax diverged at state {st}");
+/// `k` grids of different shapes, so a batch mixes state spaces and
+/// action-set widths.
+fn grid_group(seed: u32, k: usize) -> Vec<GridWorld> {
+    let mut rng = Lfsr32::new(seed.wrapping_mul(0x9E37_79B9) | 1);
+    (0..k).map(|_| random_grid(&mut rng)).collect()
+}
+
+/// Everything the equivalence tables compare after a run.
+#[derive(Debug, PartialEq)]
+struct Outcome<V> {
+    stats: CycleStats,
+    q: QTable<V>,
+    qmax: QmaxTable<V>,
+    faults: Option<FaultStats>,
+    counters: CounterBank,
+}
+
+fn outcome<V: QValue, S: TraceSink>(p: &AccelPipeline<V, S>) -> Outcome<V> {
+    Outcome {
+        stats: p.stats(),
+        q: p.q_table(),
+        qmax: p.qmax_table(),
+        faults: p.fault_stats(),
+        counters: p.counters().clone(),
     }
+}
+
+/// Train a fresh pipeline for `n` samples, cycle-accurately or through
+/// the fast path, with `sink` attached and an optional fault runtime.
+fn train<V: QValue, S: TraceSink>(
+    g: &GridWorld,
+    cfg: AccelConfig,
+    sink: S,
+    faults: Option<FaultConfig>,
+    fast: bool,
+    n: u64,
+) -> Outcome<V> {
+    let mut p = AccelPipeline::<V, S>::with_sink(g, cfg, 0, sink);
+    if let Some(fc) = faults {
+        p.enable_faults(fc);
+    }
+    if fast {
+        p.run_samples_fast(g, n);
+    } else {
+        p.run_samples(g, n);
+    }
+    outcome(&p)
+}
+
+/// Cycle-accurate ≡ fast path (window-register loop where eligible),
+/// both plain and behind a counter-bearing sink (which must reach the
+/// general executor and mirror every counter); and under a fault
+/// runtime, the plain pipeline ≡ the instrumented general executor,
+/// strike for strike. (Strikes land in the committed BRAM image, which
+/// every fast executor commits ahead of the cycle engine, so the cycle
+/// engine is not the reference under faults.)
+fn assert_fast_matches<V: QValue>(g: &GridWorld, cfg: AccelConfig, n: u64, label: &str) {
+    let slow = train::<V, _>(g, cfg, NullSink, None, false, n);
+    let fast = train::<V, _>(g, cfg, NullSink, None, true, n);
+    assert_eq!(slow, fast, "{label}: fast path diverged");
+    let slow_sink = train::<V, _>(g, cfg, CountersOnly, None, false, n);
+    let fast_sink = train::<V, _>(g, cfg, CountersOnly, None, true, n);
+    assert_eq!(slow_sink, fast_sink, "{label}: counter-sink fast path diverged");
+    let fc = Some(FaultConfig::default().with_seu_rate(1e-3));
+    let faulty = train::<V, _>(g, cfg, NullSink, fc, true, n);
+    assert!(
+        faulty.faults.is_some_and(|f| f.injected_q > 0),
+        "{label}: no strikes"
+    );
+    // A NullSink keeps no counters; everything else must match.
+    let faulty_sink = Outcome {
+        counters: CounterBank::new(),
+        ..train::<V, _>(g, cfg, CountersOnly, fc, true, n)
+    };
+    assert_eq!(faulty, faulty_sink, "{label}: fault-runtime fast path diverged");
 }
 
 #[test]
@@ -66,20 +133,7 @@ fn fast_path_is_bit_exact_q_learning_all_hazards() {
         let g = random_grid(&mut shape_rng);
         for hazard in HAZARDS {
             let cfg = AccelConfig::default().with_seed(seed).with_hazard(hazard);
-            let mut slow = QLearningAccel::<Q8_8>::new(&g, cfg);
-            let mut fast = QLearningAccel::<Q8_8>::new(&g, cfg);
-            let ss = slow.train_samples(&g, 12_000);
-            let sf = fast.train_samples_fast(&g, 12_000);
-            assert_eq!(ss, sf, "seed {seed} {hazard:?}: CycleStats diverged");
-            assert_eq!(
-                slow.q_table().as_slice(),
-                fast.q_table().as_slice(),
-                "seed {seed} {hazard:?}: Q-table diverged"
-            );
-            let (qm_s, qm_f) = (slow.qmax_table(), fast.qmax_table());
-            for st in 0..qm_s.len() as qtaccel_envs::State {
-                assert_eq!(qm_s.get(st), qm_f.get(st), "seed {seed} {hazard:?}: Qmax diverged");
-            }
+            assert_fast_matches::<Q8_8>(&g, cfg, 12_000, &format!("seed {seed} {hazard:?}"));
         }
     }
 }
@@ -91,17 +145,9 @@ fn fast_path_is_bit_exact_sarsa_all_hazards() {
         let g = random_grid(&mut shape_rng);
         let eps = 0.05 + (seed % 5) as f64 * 0.1;
         for hazard in HAZARDS {
-            let cfg = AccelConfig::default().with_seed(seed).with_hazard(hazard);
-            let mut slow = SarsaAccel::<Q8_8>::new(&g, cfg, eps);
-            let mut fast = SarsaAccel::<Q8_8>::new(&g, cfg, eps);
-            let ss = slow.train_samples(&g, 12_000);
-            let sf = fast.train_samples_fast(&g, 12_000);
-            assert_eq!(ss, sf, "seed {seed} {hazard:?}: CycleStats diverged");
-            assert_eq!(
-                slow.q_table().as_slice(),
-                fast.q_table().as_slice(),
-                "seed {seed} {hazard:?}: Q-table diverged"
-            );
+            let mut cfg = AccelConfig::default().with_seed(seed).with_hazard(hazard);
+            cfg.trainer = TrainerConfig::sarsa(eps).with_seed(seed);
+            assert_fast_matches::<Q8_8>(&g, cfg, 12_000, &format!("seed {seed} {hazard:?}"));
         }
     }
 }
@@ -109,7 +155,8 @@ fn fast_path_is_bit_exact_sarsa_all_hazards() {
 #[test]
 fn fast_path_is_bit_exact_exact_scan_and_policies() {
     // Exercise the multi-cycle row scan and every synthesizable policy
-    // pairing, including the stage-2 random-read path.
+    // pairing, including the stage-2 random-read path, at both datapath
+    // widths.
     let policies: [(Policy, Policy, bool); 4] = [
         (Policy::Random, Policy::Greedy, false),
         (Policy::Greedy, Policy::Greedy, false),
@@ -137,16 +184,17 @@ fn fast_path_is_bit_exact_exact_scan_and_policies() {
                     cfg.trainer.behavior = behavior;
                     cfg.trainer.update = update;
                     cfg.trainer.forward_next_action = fwd_next;
-                    let mut slow = AccelPipeline::<Q16_16>::new(&g, cfg, 0);
-                    let mut fast = AccelPipeline::<Q16_16>::new(&g, cfg, 0);
-                    let ss = slow.run_samples(&g, 6_000);
-                    let sf = fast.run_samples_fast(&g, 6_000);
-                    assert_identical(
-                        &slow,
-                        &fast,
-                        ss,
-                        sf,
-                        &format!("seed {seed} {hazard:?} {max_mode:?} {behavior:?}/{update:?}"),
+                    let label =
+                        format!("seed {seed} {hazard:?} {max_mode:?} {behavior:?}/{update:?}");
+                    assert_eq!(
+                        train::<Q16_16, _>(&g, cfg, NullSink, None, false, 6_000),
+                        train::<Q16_16, _>(&g, cfg, NullSink, None, true, 6_000),
+                        "Q16_16 {label}"
+                    );
+                    assert_eq!(
+                        train::<Q8_8, _>(&g, cfg, NullSink, None, false, 6_000),
+                        train::<Q8_8, _>(&g, cfg, NullSink, None, true, 6_000),
+                        "Q8_8 {label}"
                     );
                 }
             }
@@ -154,30 +202,32 @@ fn fast_path_is_bit_exact_exact_scan_and_policies() {
     }
 }
 
+/// slow → fast → slow → fast on one instance must equal a pure
+/// cycle-accurate run.
+fn assert_mixed_matches_pure<V: QValue>(g: &GridWorld, cfg: AccelConfig, label: &str) {
+    let mut pure = AccelPipeline::<V>::new(g, cfg, 0);
+    let mut mixed = AccelPipeline::<V>::new(g, cfg, 0);
+    pure.run_samples(g, 9_000);
+    mixed.run_samples(g, 2_000);
+    mixed.run_samples_fast(g, 3_000);
+    mixed.run_samples(g, 1_000);
+    mixed.run_samples_fast(g, 3_000);
+    assert_eq!(outcome(&pure), outcome(&mixed), "{label}");
+}
+
 #[test]
 fn executors_interleave_freely() {
-    // slow → fast → slow → fast on one instance must equal a pure
-    // cycle-accurate run: the entry/exit protocols preserve in-flight
-    // state exactly.
+    // The entry/exit protocols preserve in-flight state exactly
+    // (pending writes, RNG registers, the SARSA carry) at every width.
+    let g = GridWorld::builder(3, 5).goal(2, 4).build();
     for hazard in HAZARDS {
-        let g = GridWorld::builder(3, 5).goal(2, 4).build();
-        let cfg = AccelConfig::default().with_seed(97).with_hazard(hazard);
-        let mut pure = QLearningAccel::<Q8_8>::new(&g, cfg);
-        let mut mixed = QLearningAccel::<Q8_8>::new(&g, cfg);
-        let stats_pure = pure.train_samples(&g, 9_000);
-        mixed.train_samples(&g, 2_000);
-        mixed.train_samples_fast(&g, 3_000);
-        mixed.train_samples(&g, 1_000);
-        let stats_mixed = mixed.train_samples_fast(&g, 3_000);
-        assert_eq!(stats_pure, stats_mixed, "{hazard:?}: CycleStats diverged");
-        assert_eq!(
-            pure.q_table().as_slice(),
-            mixed.q_table().as_slice(),
-            "{hazard:?}: Q-table diverged"
-        );
-        let (qm_p, qm_m) = (pure.qmax_table(), mixed.qmax_table());
-        for st in 0..qm_p.len() as qtaccel_envs::State {
-            assert_eq!(qm_p.get(st), qm_m.get(st), "{hazard:?}: Qmax diverged");
+        let ql = AccelConfig::default().with_seed(97).with_hazard(hazard);
+        let mut sarsa = ql;
+        sarsa.trainer = TrainerConfig::sarsa(0.2).with_seed(97);
+        for (algo, cfg) in [("q-learning", ql), ("sarsa", sarsa)] {
+            assert_mixed_matches_pure::<Q8_8>(&g, cfg, &format!("Q8_8 {algo} {hazard:?}"));
+            assert_mixed_matches_pure::<Q16_16>(&g, cfg, &format!("Q16_16 {algo} {hazard:?}"));
+            assert_mixed_matches_pure::<f64>(&g, cfg, &format!("f64 {algo} {hazard:?}"));
         }
     }
 }
@@ -185,28 +235,81 @@ fn executors_interleave_freely() {
 #[test]
 fn fast_path_zero_samples_is_inert() {
     let g = GridWorld::builder(4, 4).goal(3, 3).build();
-    let mut a = QLearningAccel::<Q8_8>::new(&g, AccelConfig::default());
-    let before = a.train_samples(&g, 500);
-    let after = a.train_samples_fast(&g, 0);
-    assert_eq!(before, after);
+    let ql = AccelConfig::default();
+    let mut sarsa = ql;
+    sarsa.trainer = TrainerConfig::sarsa(0.1);
+    for cfg in [ql, sarsa] {
+        let mut a = AccelPipeline::<Q8_8>::new(&g, cfg, 0);
+        a.run_samples(&g, 500);
+        let before = outcome(&a);
+        a.run_samples_fast(&g, 0);
+        assert_eq!(before, outcome(&a));
+    }
+}
+
+/// How a batch row drives its banks.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// `train_samples_fast` with the same budget on every bank.
+    FastEach,
+    /// `train_batch` with a total split across the banks.
+    Batch,
 }
 
 #[test]
 fn independent_pipelines_fast_matches_slow() {
-    let mut rng = Lfsr32::new(123);
-    let part = PartitionedGrid::new(8, 8, 2, 2, 4, ActionSet::Four, &mut rng);
-    let cfg = AccelConfig::default().with_seed(55);
-    let mut slow = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
-    let mut fast = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
-    let ss = slow.train_samples(part.partitions(), 8_000);
-    let sf = fast.train_samples_fast(part.partitions(), 8_000);
-    assert_eq!(ss, sf, "merged CycleStats diverged");
-    for i in 0..slow.len() {
-        assert_eq!(
-            slow.q_table(i).as_slice(),
-            fast.q_table(i).as_slice(),
-            "bank {i} Q-table diverged"
-        );
+    // Each row's banks must equal per-bank cycle-accurate pipelines run
+    // for the deterministic split of the row's total: bank i gets
+    // total/P, plus one remainder sample for i < total % P.
+    let envs = grid_group(909, 4);
+    let cfg = AccelConfig::default().with_seed(41);
+    let two = Arc::new(ShardedExecutor::new(2));
+    let rows: [(&str, Route, u64, Option<&Arc<ShardedExecutor>>); 4] = [
+        ("fast, global pool", Route::FastEach, 4 * 8_000, None),
+        ("batch, total below bank count", Route::Batch, 3, None),
+        ("batch, uneven total", Route::Batch, 4 * 2_500 + 3, None),
+        // Budgets above the ~64K-sample chunk make the work queue
+        // re-enter every shard several times.
+        (
+            "batch, chunked re-entry on 2 workers",
+            Route::Batch,
+            4 * 150_000,
+            Some(&two),
+        ),
+    ];
+    for (label, route, total, pool) in rows {
+        let mut fast = IndependentPipelines::<Q8_8>::new(&envs, cfg);
+        if let Some(pool) = pool {
+            fast = fast.with_executor(Arc::clone(pool));
+        }
+        match route {
+            Route::FastEach => {
+                fast.train_samples_fast(&envs, total / envs.len() as u64);
+            }
+            Route::Batch => {
+                fast.train_batch(&envs, total);
+            }
+        }
+        let p = envs.len() as u64;
+        let mut merged = CycleStats::default();
+        for (i, env) in envs.iter().enumerate() {
+            let mut bank = AccelPipeline::<Q8_8>::new(env, cfg, i as u64);
+            bank.run_samples(env, total / p + u64::from((i as u64) < total % p));
+            assert_eq!(
+                bank.q_table(),
+                fast.q_table(i),
+                "{label}: bank {i} Q-table diverged"
+            );
+            assert_eq!(
+                bank.qmax_table(),
+                fast.qmax_table(i),
+                "{label}: bank {i} Qmax diverged"
+            );
+            merged.merge(&bank.stats());
+            // Parallel banks fill concurrently.
+            merged.fill_bubbles = bank.stats().fill_bubbles;
+        }
+        assert_eq!(merged, fast.stats(), "{label}: merged CycleStats diverged");
     }
 }
 
@@ -215,12 +318,12 @@ fn fast_path_matches_golden_reference() {
     // Transitivity check straight to the sequential software trainer.
     let g = GridWorld::builder(8, 8).goal(7, 7).build();
     for seed in [1u64, 7, 42] {
-        let mut hw = QLearningAccel::<Q8_8>::new(&g, AccelConfig::default().with_seed(seed));
+        let mut hw = AccelPipeline::<Q8_8>::new(&g, AccelConfig::default().with_seed(seed), 0);
         let mut sw = qtaccel_core::trainer::RefTrainer::<Q8_8, _>::new(
             g.clone(),
             TrainerConfig::q_learning().with_seed(seed),
         );
-        hw.train_samples_fast(&g, 20_000);
+        hw.run_samples_fast(&g, 20_000);
         sw.run_samples(20_000);
         assert_eq!(
             hw.q_table().as_slice(),

@@ -504,7 +504,7 @@ impl HealthProbe {
 /// The health-probing sink: no event stream, live perf counters, and a
 /// carried [`HealthProbe`] the pipelines feed per retired sample.
 ///
-/// Attaching it makes the fused/interleaved specializations ineligible
+/// Attaching it makes the fast path's window-register loop ineligible
 /// (the general fast path and the cycle-accurate engine both take the
 /// probe hook, bit-identically); a [`crate::NullSink`] build is
 /// untouched.
