@@ -266,11 +266,7 @@ impl WordReader {
 /// Durably replace `path` with `bytes`: stage in a sibling `*.tmp`,
 /// fsync, rename over the destination, fsync the directory.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let tmp = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        PathBuf::from(os)
-    };
+    let tmp = staging_path(path);
     {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(bytes)?;
@@ -320,6 +316,22 @@ pub fn clean_stale_tmp(dir: &Path) -> Result<u64, CheckpointError> {
         }
     }
     Ok(removed)
+}
+
+/// The sibling `*.tmp` file [`atomic_write`] stages `path`'s bytes in.
+fn staging_path(path: &Path) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(".tmp");
+    PathBuf::from(os)
+}
+
+/// [`clean_stale_tmp`] for a caller that owns only `path` (a lease):
+/// remove just `path`'s staging orphan, never a live sibling writer's.
+pub(crate) fn clean_stale_tmp_of(path: &Path) -> Result<(), CheckpointError> {
+    match fs::remove_file(staging_path(path)) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]

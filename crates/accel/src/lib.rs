@@ -19,7 +19,8 @@
 //!   loop, generic over the stored-word codec (full-width, or q4/q6/q8
 //!   with the stochastic writeback rounder), for the paper's
 //!   `Forwarding` + Qmax-array configuration, and a general windowed
-//!   executor for every other configuration and for instrumented sinks.
+//!   executor for every other configuration and for counter and health
+//!   sinks. Event sinks run on the cycle-accurate engine.
 //! * [`qlearning`] / [`sarsa`] — the two §V engine customizations:
 //!   Q-Learning (random behaviour, greedy update via the Qmax array) and
 //!   SARSA (ε-greedy, on-policy action forwarding from stage 2 to
@@ -31,9 +32,9 @@
 //! * [`executor`] — the host-side scale-out layer: a persistent
 //!   [`ShardedExecutor`] worker pool with a chunked work queue that runs
 //!   the `multi` configurations on however many cores the host offers
-//!   (bit-identical results at any worker count), plus the sharded
-//!   `train_batch` API. Pools built with
-//!   [`ShardedExecutor::new_instrumented`] expose
+//!   (bit-identical results at any worker count), and the batch calls
+//!   `train_batch{,_durable}` that split a budget with [`shard_budget`].
+//!   Pools built with [`ShardedExecutor::new_instrumented`] expose
 //!   [`ExecutorMetrics`] — per-worker busy/idle time, chunk-latency
 //!   histograms, queue-depth gauges — for the DESIGN.md §2.10 metrics
 //!   service.
@@ -84,8 +85,8 @@ pub use config::{AccelConfig, HazardMode};
 pub use fault::{FaultConfig, FaultStats};
 pub use executor::{ExecutorMetrics, ShardedExecutor, WorkerSnapshot};
 pub use multi::{
-    shard_checkpoint_path, BatchReport, DualPipelineShared, IndependentPipelines, LeaseError,
-    ShardRun,
+    shard_budget, shard_checkpoint_path, BatchReport, DualPipelineShared, IndependentPipelines,
+    LeaseError, ShardRun,
 };
 pub use pipeline::AccelPipeline;
 pub use prob_engine::{ProbPolicyAccel, WeightRule};

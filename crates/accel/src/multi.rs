@@ -498,10 +498,10 @@ pub struct BatchReport {
     pub shards: Vec<ShardRun>,
     /// Cumulative iterations whose events the attached sinks have had to
     /// drop, summed across banks as of batch completion (bounded sinks
-    /// like `RingSink` evict; the fast path itself emits no events, so
-    /// nonzero values originate from cycle-accurate runs on the same
-    /// sinks). Zero for unbounded and no-op sinks — a nonzero value
-    /// flags that the retained trace is *not* the complete run.
+    /// like `RingSink` evict; event sinks always train on the
+    /// cycle-accurate engine, the only one that emits events). Zero for
+    /// unbounded and no-op sinks — a nonzero value flags that the
+    /// retained trace is *not* the complete run.
     pub dropped_iterations: u64,
     /// Spans evicted from the attached [`SpanTracer`]'s bounded ring as
     /// of batch completion (cumulative, like `dropped_iterations`).
@@ -521,6 +521,112 @@ pub struct BatchReport {
 /// [`train_batch_durable`]: IndependentPipelines::train_batch_durable
 pub fn shard_checkpoint_path(dir: &Path, i: usize) -> PathBuf {
     dir.join(format!("shard{i}.ckpt"))
+}
+
+/// Shard `i`'s share of `total` samples split over `shards` banks:
+/// `total / shards`, plus one of the `total % shards` remainder samples
+/// for `i < total % shards`. The batch entry points and the cluster's
+/// lease plan both split this way, so their results compose bit-exactly.
+pub fn shard_budget(total: u64, shards: usize, i: usize) -> u64 {
+    let p = shards as u64;
+    total / p + u64::from((i as u64) < total % p)
+}
+
+/// The durable-shard protocol behind
+/// [`train_batch_durable`](IndependentPipelines::train_batch_durable)
+/// and [`train_shard_durable`](IndependentPipelines::train_shard_durable):
+/// restore-or-fresh on entry, a save whenever a shard's retired-sample
+/// count crosses a multiple of `every`, and a seal at the end. With a
+/// tracer, each step is a span under the parent the caller passes.
+struct Durable<'a> {
+    dir: &'a Path,
+    every: u64,
+    tracer: Option<&'a SpanTracer>,
+}
+
+impl<'a> Durable<'a> {
+    fn open(
+        dir: &'a Path,
+        every: u64,
+        tracer: Option<&'a SpanTracer>,
+    ) -> Result<Self, CheckpointError> {
+        assert!(every > 0, "checkpoint cadence must be nonzero");
+        std::fs::create_dir_all(dir)?;
+        Ok(Self { dir, every, tracer })
+    }
+
+    /// Run `f` inside a `name` span on `lane` under `parent`, if tracing.
+    fn span<T>(
+        &self,
+        parent: Option<SpanContext>,
+        name: &'static str,
+        lane: usize,
+        ordinal: u64,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        let active = self
+            .tracer
+            .zip(parent)
+            .map(|(t, p)| t.begin(p.trace, Some(p.span), name, lane as u32, ordinal));
+        let out = f();
+        if let (Some(tracer), Some(active)) = (self.tracer, active) {
+            tracer.end(active);
+        }
+        out
+    }
+
+    /// Restore shard `i` from its checkpoint; a missing file means the
+    /// shard starts fresh.
+    fn restore<V: QValue, S: TraceSink>(
+        &self,
+        i: usize,
+        pipe: &mut AccelPipeline<V, S>,
+        parent: Option<SpanContext>,
+    ) -> Result<(), CheckpointError> {
+        let path = shard_checkpoint_path(self.dir, i);
+        match self.span(parent, "checkpoint_restore", i, 0, || {
+            pipe.restore_checkpoint(&path)
+        }) {
+            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            restored => restored,
+        }
+    }
+
+    /// Train shard `i` for `n` samples, then save if its retired count
+    /// crossed a cadence multiple. The save span's ordinal is the
+    /// multiple reached, so its identity is a function of training
+    /// progress alone.
+    fn run<V: QValue, S: TraceSink, E: Environment>(
+        &self,
+        i: usize,
+        pipe: &mut AccelPipeline<V, S>,
+        env: &E,
+        n: u64,
+        parent: Option<SpanContext>,
+    ) -> Result<(), CheckpointError> {
+        let before = pipe.stats().samples;
+        pipe.run_samples_fast(env, n);
+        let reached = pipe.stats().samples / self.every;
+        if before / self.every == reached {
+            return Ok(());
+        }
+        self.span(parent, "checkpoint_save", i, reached, || {
+            pipe.save_checkpoint(&shard_checkpoint_path(self.dir, i))
+        })
+    }
+
+    /// Seal shard `i`: its final state is durable.
+    fn seal<V: QValue, S: TraceSink>(
+        &self,
+        i: usize,
+        pipe: &AccelPipeline<V, S>,
+        parent: Option<SpanContext>,
+    ) -> Result<(), CheckpointError> {
+        let ordinal = pipe.stats().samples / self.every + 1;
+        self.span(parent, "checkpoint_save", i, ordinal, || {
+            pipe.save_checkpoint(&shard_checkpoint_path(self.dir, i))
+        })
+    }
 }
 
 /// Why a lease-granular durable run ([`train_shard_durable`]) was
@@ -598,16 +704,7 @@ impl<V: QValue> IndependentPipelines<V> {
     /// One pipeline per environment, each with its own RNG seed bank and
     /// its own BRAM banks.
     pub fn new<E: Environment>(envs: &[E], config: AccelConfig) -> Self {
-        assert!(!envs.is_empty(), "need at least one sub-environment");
-        Self {
-            pipes: envs
-                .iter()
-                .enumerate()
-                .map(|(i, e)| AccelPipeline::new(e, config, i as u64))
-                .collect(),
-            executor: None,
-            tracer: None,
-        }
+        Self::with_sinks(envs, config, vec![NullSink; envs.len()])
     }
 }
 
@@ -695,9 +792,9 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         self.pipes.is_empty()
     }
 
-    /// Submit one shard per pipeline to the executor: shard `i` runs
-    /// `budgets[i]` samples through `run`, re-entered in deterministic
-    /// chunks so the pool's work queue can interleave P ≫ C shards.
+    /// Submit one job per planned shard to the executor: shard `i` runs
+    /// its `samples` through `run`, re-entered in its deterministic
+    /// `chunk`s so the pool's work queue can interleave P ≫ C shards.
     /// Blocks until the batch completes; per-shard state (tables, stats,
     /// counter banks) is written lock-free by the owning shard and read
     /// here only after the join.
@@ -715,7 +812,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     fn drive<E, F>(
         &mut self,
         envs: &[E],
-        budgets: &[u64],
+        shards: &[ShardRun],
         ctx: Option<SpanContext>,
         run: F,
     ) -> CycleStats
@@ -724,9 +821,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         S: Send,
         F: Fn(usize, &mut AccelPipeline<V, S>, &E, u64, Option<SpanContext>) + Sync,
     {
-        assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
-        assert_eq!(budgets.len(), self.pipes.len(), "one budget per pipeline");
-        if budgets.iter().all(|&b| b == 0) {
+        if shards.iter().all(|s| s.samples == 0) {
             return self.stats();
         }
         // Clone the Arcs so the pool/tracer references cannot alias
@@ -738,16 +833,15 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         };
         let tracing = self.tracer.clone().zip(ctx);
         let run = &run;
-        let shards: Vec<ShardJob<'_>> = self
+        let jobs: Vec<ShardJob<'_>> = self
             .pipes
             .iter_mut()
             .zip(envs)
-            .zip(budgets)
-            .enumerate()
-            .filter(|(_, ((_, _), &budget))| budget > 0)
-            .map(|(i, ((pipe, env), &budget))| {
-                let chunk = chunk_samples(budget, pipe.num_states(), pipe.num_actions());
-                let mut left = budget;
+            .zip(shards)
+            .filter(|(_, shard)| shard.samples > 0)
+            .map(|((pipe, env), shard)| {
+                let (i, chunk) = (shard.pipeline, shard.chunk);
+                let mut left = shard.samples;
                 let mut chunk_idx = 0u64;
                 let tracing = tracing.clone();
                 Box::new(move || {
@@ -785,51 +879,15 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
                 }) as ShardJob<'_>
             })
             .collect();
-        pool.run_shards(shards);
+        pool.run_shards(jobs);
         self.stats()
     }
 
-    /// Train every pipeline for `samples_each` updates on its own
-    /// environment. Shards run on the persistent [`ShardedExecutor`]
-    /// worker pool — they share no state, exactly like the hardware
-    /// banks, so results are bit-identical to
-    /// [`train_samples_sequential`](Self::train_samples_sequential) at
-    /// any worker count.
-    pub fn train_samples<E: Environment + Sync>(
-        &mut self,
-        envs: &[E],
-        samples_each: u64,
-    ) -> CycleStats
-    where
-        S: Send,
-    {
-        let budgets = vec![samples_each; self.pipes.len()];
-        self.drive(envs, &budgets, None, |_, pipe, env, n, _| {
-            pipe.run_samples(env, n);
-        })
-    }
-
-    /// [`train_samples`](Self::train_samples) through the fast-path
-    /// executor on every bank — bit-identical results (see
-    /// `AccelPipeline::run_samples_fast`).
-    pub fn train_samples_fast<E: Environment + Sync>(
-        &mut self,
-        envs: &[E],
-        samples_each: u64,
-    ) -> CycleStats
-    where
-        S: Send,
-    {
-        let budgets = vec![samples_each; self.pipes.len()];
-        self.drive(envs, &budgets, None, |_, pipe, env, n, _| {
-            pipe.run_samples_fast(env, n);
-        })
-    }
-
-    /// The sequential reference for [`train_samples`](Self::train_samples):
-    /// every pipeline runs to completion on the calling thread, no
-    /// executor, no chunking. The scale-out determinism tests pin the
-    /// parallel paths bit-exactly to this.
+    /// The sequential reference for the cycle-accurate engine: every
+    /// pipeline runs `samples_each` updates through
+    /// `AccelPipeline::run_samples` on the calling thread, no executor,
+    /// no chunking. The scale-out determinism tests pin the batch paths
+    /// bit-exactly to this.
     pub fn train_samples_sequential<E: Environment>(
         &mut self,
         envs: &[E],
@@ -842,8 +900,9 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         self.stats()
     }
 
-    /// The sequential reference for
-    /// [`train_samples_fast`](Self::train_samples_fast).
+    /// [`train_samples_sequential`](Self::train_samples_sequential)
+    /// through `AccelPipeline::run_samples_fast` — the sequential
+    /// reference for [`train_batch`](Self::train_batch).
     pub fn train_samples_fast_sequential<E: Environment>(
         &mut self,
         envs: &[E],
@@ -856,56 +915,11 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         self.stats()
     }
 
-    /// Open a batch root span when a tracer is attached: a fresh trace
-    /// whose id derives from the tracer seed and trace ordinal, with
-    /// the batch total as the root span's ordinal — fully deterministic
-    /// for a fixed seed and call sequence. The caller ends the returned
-    /// active span after the batch joins.
-    fn begin_batch_root(
-        &self,
-        name: &'static str,
-        total_samples: u64,
-    ) -> Option<(Arc<SpanTracer>, ActiveSpan)> {
-        self.tracer.clone().map(|t| {
-            let trace = t.start_trace();
-            let root = t.begin(trace, None, name, 0, total_samples);
-            (t, root)
-        })
-    }
-
-    /// The deterministic batch plan shared by the batch entry points:
-    /// shard `i` gets `total/P`, plus one of the `total % P` remainder
-    /// samples for `i < total % P`. With `resume`, the samples a shard
-    /// has already retired (restored from a checkpoint) count against
-    /// its target. Returns the per-shard plan and its budgets.
-    fn plan_batch(&self, total_samples: u64, resume: bool) -> (Vec<ShardRun>, Vec<u64>) {
-        let p = self.pipes.len() as u64;
-        let (base, extra) = (total_samples / p, total_samples % p);
-        let shards: Vec<ShardRun> = self
-            .pipes
-            .iter()
-            .enumerate()
-            .map(|(i, pipe)| {
-                let target = base + u64::from((i as u64) < extra);
-                let done = if resume { pipe.stats().samples } else { 0 };
-                let samples = target.saturating_sub(done);
-                ShardRun {
-                    pipeline: i,
-                    samples,
-                    chunk: chunk_samples(samples, pipe.num_states(), pipe.num_actions()),
-                }
-            })
-            .collect();
-        let budgets = shards.iter().map(|s| s.samples).collect();
-        (shards, budgets)
-    }
-
     /// Sharded batch training: split a *total* sample budget across the
-    /// banks (deterministically — shard `i` gets `total/P`, plus one of
-    /// the `total % P` remainder samples for `i < total % P`) and drive
-    /// every shard through the fast-path executor
-    /// (`AccelPipeline::run_samples_fast`). Results are bit-identical to
-    /// running the same per-shard budgets sequentially.
+    /// banks with [`shard_budget`] and drive every shard through
+    /// `AccelPipeline::run_samples_fast` on the worker pool (which runs
+    /// an event sink on the cycle-accurate engine). Results are
+    /// bit-identical to running the same per-shard budgets sequentially.
     pub fn train_batch<E: Environment + Sync>(
         &mut self,
         envs: &[E],
@@ -914,24 +928,8 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     where
         S: Send,
     {
-        assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
-        let (shards, budgets) = self.plan_batch(total_samples, false);
-        let root = self.begin_batch_root("train_batch", total_samples);
-        let ctx = root.as_ref().map(|(_, active)| active.context());
-        let stats = self.drive(envs, &budgets, ctx, |_, pipe, env, n, _| {
-            pipe.run_samples_fast(env, n);
-        });
-        if let Some((tracer, active)) = root {
-            tracer.end(active);
-        }
-        BatchReport {
-            stats,
-            workers: self.workers(),
-            shards,
-            dropped_iterations: self.dropped_iterations(),
-            dropped_spans: self.dropped_spans(),
-            trace: ctx,
-        }
+        self.run_batch(envs, total_samples, None)
+            .expect("a batch without checkpoints does no I/O")
     }
 
     /// [`train_batch`](Self::train_batch) with crash-safe durability:
@@ -959,108 +957,109 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     where
         S: Send,
     {
+        self.run_batch(envs, total_samples, Some((dir, checkpoint_every)))
+    }
+
+    /// The body of both batch entry points: plan, root span, drive, and —
+    /// when `durable` names a checkpoint directory and cadence — restore,
+    /// cadence saves, seal and flight record around the drive.
+    fn run_batch<E: Environment + Sync>(
+        &mut self,
+        envs: &[E],
+        total_samples: u64,
+        durable: Option<(&Path, u64)>,
+    ) -> Result<BatchReport, CheckpointError>
+    where
+        S: Send,
+    {
         assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
-        assert!(checkpoint_every > 0, "checkpoint cadence must be nonzero");
-        std::fs::create_dir_all(dir)?;
-        // A previous run killed between atomic_write's create and rename
-        // leaves a `*.tmp` staging orphan next to the (intact) real
-        // checkpoints; sweep them before scanning so they neither
-        // accumulate across crash loops nor get mistaken for state.
-        checkpoint::clean_stale_tmp(dir)?;
-        let root = self.begin_batch_root("train_batch_durable", total_samples);
-        let ctx = root.as_ref().map(|(_, active)| active.context());
-        let tracing = self.tracer.clone().zip(ctx);
-        // Resume: pick up whatever a previous (possibly killed) run left.
-        for (i, pipe) in self.pipes.iter_mut().enumerate() {
-            let span = tracing.as_ref().map(|(tracer, root)| {
-                tracer.begin(root.trace, Some(root.span), "checkpoint_restore", i as u32, 0)
-            });
-            let restored = pipe.restore_checkpoint(&shard_checkpoint_path(dir, i));
-            if let (Some((tracer, _)), Some(active)) = (&tracing, span) {
-                tracer.end(active);
-            }
-            match restored {
-                Ok(()) => {}
-                Err(CheckpointError::Io(e))
-                    if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
+        let tracer = self.tracer.clone();
+        let durable = durable
+            .map(|(dir, every)| Durable::open(dir, every, tracer.as_deref()))
+            .transpose()?;
+        // The root span opens a fresh trace whose id derives from the
+        // tracer seed and trace ordinal, with the batch total as its
+        // ordinal: deterministic for a fixed seed and call sequence.
+        let name = durable
+            .as_ref()
+            .map_or("train_batch", |_| "train_batch_durable");
+        let root = tracer
+            .as_ref()
+            .map(|t| t.begin(t.start_trace(), None, name, 0, total_samples));
+        let ctx = root.as_ref().map(ActiveSpan::context);
+        if let Some(durable) = &durable {
+            // A previous run killed between atomic_write's create and
+            // rename leaves `*.tmp` staging orphans next to the (intact)
+            // real checkpoints; sweep them so they neither accumulate
+            // across crash loops nor get mistaken for state. Then resume
+            // from whatever that run left.
+            checkpoint::clean_stale_tmp(durable.dir)?;
+            for (i, pipe) in self.pipes.iter_mut().enumerate() {
+                durable.restore(i, pipe, ctx)?;
             }
         }
-        // Checkpointed progress counts against each shard's target.
-        let (shards, budgets) = self.plan_batch(total_samples, true);
+        // The plan: shard `i` gets its `shard_budget`, less the samples
+        // it already retired when resuming from a checkpoint.
+        let shards: Vec<ShardRun> = self
+            .pipes
+            .iter()
+            .enumerate()
+            .map(|(i, pipe)| {
+                let done = if durable.is_some() {
+                    pipe.stats().samples
+                } else {
+                    0
+                };
+                let samples = shard_budget(total_samples, self.pipes.len(), i).saturating_sub(done);
+                ShardRun {
+                    pipeline: i,
+                    samples,
+                    chunk: chunk_samples(samples, pipe.num_states(), pipe.num_actions()),
+                }
+            })
+            .collect();
         // Shards run on pool workers and cannot return errors; the first
         // checkpoint failure is parked here and re-raised after the join.
         let failed: Mutex<Option<CheckpointError>> = Mutex::new(None);
-        let failed_ref = &failed;
-        let save_tracer = self.tracer.clone();
-        let stats = self.drive(envs, &budgets, ctx, |i, pipe, env, n, chunk_ctx| {
-            let before = pipe.stats().samples;
-            pipe.run_samples_fast(env, n);
-            let after = pipe.stats().samples;
-            if before / checkpoint_every != after / checkpoint_every {
-                // Nest the periodic save under the chunk that crossed
-                // the cadence boundary; the ordinal is the cadence
-                // multiple reached, so the span identity is a function
-                // of training progress alone.
-                let span = save_tracer.as_ref().zip(chunk_ctx).map(|(tracer, c)| {
-                    tracer.begin(
-                        c.trace,
-                        Some(c.span),
-                        "checkpoint_save",
-                        i as u32,
-                        after / checkpoint_every,
-                    )
-                });
-                if let Err(e) = pipe.save_checkpoint(&shard_checkpoint_path(dir, i)) {
-                    failed_ref.lock().unwrap().get_or_insert(e);
-                }
-                if let (Some(tracer), Some(active)) = (&save_tracer, span) {
-                    tracer.end(active);
-                }
+        let stats = self.drive(envs, &shards, ctx, |i, pipe, env, n, chunk_ctx| {
+            let Some(durable) = &durable else {
+                pipe.run_samples_fast(env, n);
+                return;
+            };
+            if let Err(e) = durable.run(i, pipe, env, n, chunk_ctx) {
+                failed.lock().expect("error slot poisoned").get_or_insert(e);
             }
         });
-        if let Some(e) = failed.into_inner().unwrap() {
+        if let Some(e) = failed.into_inner().expect("error slot poisoned") {
             return Err(e);
         }
-        // Seal the batch: the final state of every shard is durable.
-        for (i, pipe) in self.pipes.iter().enumerate() {
-            let span = tracing.as_ref().map(|(tracer, root)| {
-                tracer.begin(
-                    root.trace,
-                    Some(root.span),
-                    "checkpoint_save",
-                    i as u32,
-                    pipe.stats().samples / checkpoint_every + 1,
-                )
-            });
-            let sealed = pipe.save_checkpoint(&shard_checkpoint_path(dir, i));
-            if let (Some((tracer, _)), Some(active)) = (&tracing, span) {
-                tracer.end(active);
+        if let Some(durable) = &durable {
+            // Seal the batch: the final state of every shard is durable.
+            for (i, pipe) in self.pipes.iter().enumerate() {
+                durable.seal(i, pipe, ctx)?;
             }
-            sealed?;
-        }
-        // Health-instrumented batches leave a flight recording next to
-        // the sealed checkpoints: one probe snapshot per shard plus the
-        // seal marker — the post-mortem baseline a later crash dump is
-        // diffed against.
-        let snapshots: Vec<_> = self
-            .pipes
-            .iter()
-            .filter_map(|p| p.sink().health())
-            .map(|probe| probe.snapshot())
-            .collect();
-        if !snapshots.is_empty() {
-            let seal_cycle = snapshots.iter().map(|s| s.cycle).max().unwrap_or(0);
-            let mut recorder =
-                qtaccel_telemetry::FlightRecorder::new(snapshots.len() + 1);
-            for snap in snapshots {
-                recorder.push_snapshot(snap);
+            // Health-instrumented batches leave a flight recording next
+            // to the sealed checkpoints: one probe snapshot per shard plus
+            // the seal marker — the post-mortem baseline a later crash
+            // dump is diffed against.
+            let snapshots: Vec<_> = self
+                .pipes
+                .iter()
+                .filter_map(|p| p.sink().health())
+                .map(|probe| probe.snapshot())
+                .collect();
+            if !snapshots.is_empty() {
+                let seal_cycle = snapshots.iter().map(|s| s.cycle).max().unwrap_or(0);
+                let mut recorder = qtaccel_telemetry::FlightRecorder::new(snapshots.len() + 1);
+                for snap in snapshots {
+                    recorder.push_snapshot(snap);
+                }
+                recorder.push_marker(seal_cycle, "batch_seal");
+                recorder.dump_to(durable.dir.join("flight.jsonl"))?;
             }
-            recorder.push_marker(seal_cycle, "batch_seal");
-            recorder.dump_to(dir.join("flight.jsonl"))?;
         }
-        if let Some((tracer, active)) = root {
-            tracer.end(active);
+        if let (Some(tracer), Some(root)) = (&tracer, root) {
+            tracer.end(root);
         }
         Ok(BatchReport {
             stats,
@@ -1078,14 +1077,14 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     /// `dir/shard{i}.ckpt` every `checkpoint_every` samples under the
     /// caller's fencing `epoch`.
     ///
-    /// On entry any existing shard checkpoint is restored (stale `*.tmp`
-    /// staging orphans are swept first) and its progress counts against
-    /// the target — a worker picking up a dead peer's lease resumes
-    /// where the last durable save left off and finishes bit-identical
-    /// to an uninterrupted run. If the checkpoint on disk was sealed
-    /// under a **newer** epoch than `held`, the caller is a superseded
-    /// zombie and is refused with [`LeaseError::FencedEpoch`] before it
-    /// can train or write anything.
+    /// On entry any existing shard checkpoint is restored (this shard's
+    /// stale `*.tmp` staging orphan is swept after the fence check) and
+    /// its progress counts against the target — a worker picking up a
+    /// dead peer's lease resumes where the last durable save left off
+    /// and finishes bit-identical to an uninterrupted run. If the
+    /// checkpoint on disk was sealed under a **newer** epoch than `epoch`,
+    /// the caller is a superseded zombie and is refused with
+    /// [`LeaseError::FencedEpoch`] before it can train or write anything.
     ///
     /// `progress` is called after every chunk with the shard's total
     /// retired-sample count (a natural heartbeat cadence: chunks are the
@@ -1105,15 +1104,9 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         checkpoint_every: u64,
         mut progress: impl FnMut(u64) -> bool,
     ) -> Result<u64, LeaseError> {
-        assert!(checkpoint_every > 0, "checkpoint cadence must be nonzero");
-        std::fs::create_dir_all(dir).map_err(CheckpointError::from)?;
-        let path = shard_checkpoint_path(dir, shard);
+        let durable = Durable::open(dir, checkpoint_every, None)?;
         let pipe = &mut self.pipes[shard];
-        match pipe.restore_checkpoint(&path) {
-            Ok(()) => {}
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
+        durable.restore(shard, pipe, None)?;
         // Lease fencing: a checkpoint stamped by a newer assignment means
         // this lease was reassigned out from under the caller.
         if pipe.lease_epoch() > epoch {
@@ -1123,23 +1116,9 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
             });
         }
         pipe.set_lease_epoch(epoch);
-        // Crash hygiene, lease-scoped: sweep only *this shard's* staging
-        // file, and only after the fence check. Unlike the whole-dir
-        // sweep in `train_batch_durable` (a single-process entry point),
-        // this runs while sibling workers may be mid-`atomic_write` in
-        // the same directory — deleting *their* staging files would fail
-        // their renames. The lease gives us unique live ownership of
-        // this shard, so the only `shard<N>.ckpt.tmp` we can meet is a
-        // dead predecessor's orphan.
-        {
-            let mut tmp = path.as_os_str().to_os_string();
-            tmp.push(".tmp");
-            match std::fs::remove_file(std::path::Path::new(&tmp)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(CheckpointError::from(e).into()),
-            }
-        }
+        // Sweep only this shard's staging file, and only after the fence
+        // check: sibling workers may be mid-write in the same directory.
+        checkpoint::clean_stale_tmp_of(&shard_checkpoint_path(dir, shard))?;
         // Lease chunks are the deterministic executor chunk, but never
         // coarser than the checkpoint cadence — otherwise a small lease
         // would run whole between durable saves and the progress
@@ -1152,19 +1131,15 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         .min(checkpoint_every)
         .max(1);
         while pipe.stats().samples < target_samples {
-            let before = pipe.stats().samples;
-            let take = chunk.min(target_samples - before);
-            pipe.run_samples_fast(env, take);
+            let take = chunk.min(target_samples - pipe.stats().samples);
+            durable.run(shard, pipe, env, take, None)?;
             let after = pipe.stats().samples;
-            if before / checkpoint_every != after / checkpoint_every {
-                pipe.save_checkpoint(&path)?;
-            }
             if !progress(after) {
                 return Ok(after);
             }
         }
         // Seal: the lease's final state is durable under this epoch.
-        pipe.save_checkpoint(&path)?;
+        durable.seal(shard, pipe, None)?;
         Ok(pipe.stats().samples)
     }
 
@@ -1361,7 +1336,7 @@ mod tests {
             AccelConfig::default(),
             vec![qtaccel_telemetry::CountersOnly; 4],
         );
-        ind.train_samples_fast(part.partitions(), 5_000);
+        ind.train_batch(part.partitions(), 4 * 5_000);
         for i in 0..4 {
             let bank = ind.counters(i);
             assert_eq!(bank.get(CounterId::SamplesRetired), 5_000, "bank {i}");
@@ -1385,7 +1360,7 @@ mod tests {
         let part = PartitionedGrid::new(16, 16, 2, 2, 10, ActionSet::Four, &mut rng);
         let mut ind = IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
         assert_eq!(ind.len(), 4);
-        let stats = ind.train_samples(part.partitions(), 10_000);
+        let stats = ind.train_batch(part.partitions(), 4 * 10_000).stats;
         assert_eq!(stats.samples, 40_000);
         assert_eq!(stats.cycles, 10_003, "lockstep wall-clock");
         assert!(stats.samples_per_cycle() > 3.9);
@@ -1396,7 +1371,7 @@ mod tests {
         let mut rng = qtaccel_hdl::lfsr::Lfsr32::new(3);
         let part = PartitionedGrid::new(16, 8, 2, 1, 0, ActionSet::Four, &mut rng);
         let mut ind = IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
-        ind.train_samples(part.partitions(), 200_000);
+        ind.train_batch(part.partitions(), 2 * 200_000);
         for i in 0..2 {
             let env = part.partition(i);
             let opt = qtaccel_core::eval::step_optimality(
@@ -1422,46 +1397,5 @@ mod tests {
     #[should_panic(expected = "at least one sub-environment")]
     fn independent_rejects_empty() {
         IndependentPipelines::<Q8_8>::new(&[] as &[GridWorld], AccelConfig::default());
-    }
-
-    #[test]
-    fn durable_batch_resumes_bit_exactly() {
-        let mut rng = qtaccel_hdl::lfsr::Lfsr32::new(21);
-        let part = PartitionedGrid::new(16, 16, 2, 2, 10, ActionSet::Four, &mut rng);
-        let dir = std::env::temp_dir().join(format!(
-            "qtaccel-durable-unit-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Straight-through reference.
-        let mut full =
-            IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
-        full.train_batch(part.partitions(), 40_000);
-
-        // Two durable legs over the same directory: 24k, then top up to
-        // the full 40k on a *fresh* instance (simulated crash between).
-        let mut leg1 =
-            IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
-        let r1 = leg1
-            .train_batch_durable(part.partitions(), 24_000, &dir, 4_096)
-            .expect("leg 1");
-        assert_eq!(r1.stats.samples, 24_000);
-        let mut leg2 =
-            IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
-        let r2 = leg2
-            .train_batch_durable(part.partitions(), 40_000, &dir, 4_096)
-            .expect("leg 2");
-        assert_eq!(r2.stats.samples, 40_000, "restored progress counts");
-        assert_eq!(
-            r2.shards.iter().map(|s| s.samples).sum::<u64>(),
-            16_000,
-            "only the remainder is re-run"
-        );
-        for i in 0..4 {
-            assert_eq!(leg2.q_table(i), full.q_table(i), "bank {i} q");
-            assert_eq!(leg2.qmax_table(i), full.qmax_table(i), "bank {i} qmax");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

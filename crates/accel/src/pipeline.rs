@@ -1538,7 +1538,9 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// loop iteration, closed-form cycle accounting, no per-cycle queue
     /// bookkeeping — and bit-identical results.
     ///
-    /// Two loops sit behind this entry point:
+    /// An event sink (`S::EVENTS`) runs [`run_samples`](Self::run_samples)
+    /// instead, the only engine that emits events. For every other sink,
+    /// two loops sit behind this entry point:
     ///
     /// - the **window-register loop** (`run_window`),
     ///   taken whenever the configuration allows it: uninstrumented sink,
@@ -1575,14 +1577,17 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         debug_assert_eq!(env.num_states(), self.num_states, "environment mismatch");
         debug_assert_eq!(env.num_actions(), self.num_actions, "environment mismatch");
 
+        if S::EVENTS {
+            return self.run_samples(env, n);
+        }
+
         // The window-register loop is uninstrumented by design (its whole
-        // point is eliding per-access bookkeeping), so an instrumented
+        // point is eliding per-access bookkeeping), so a counter or health
         // sink takes the general executor below, which mirrors every
         // counter. Ineligible quantized configs fall through too: the
         // general executor applies the identical writeback quantizer.
         let window = n > 0
             && !S::COUNTERS
-            && !S::EVENTS
             && !S::HEALTH
             && self.fault.is_none()
             && self.config.hazard == HazardMode::Forwarding

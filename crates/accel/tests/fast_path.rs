@@ -247,15 +247,6 @@ fn fast_path_zero_samples_is_inert() {
     }
 }
 
-/// How a batch row drives its banks.
-#[derive(Debug, Clone, Copy)]
-enum Route {
-    /// `train_samples_fast` with the same budget on every bank.
-    FastEach,
-    /// `train_batch` with a total split across the banks.
-    Batch,
-}
-
 #[test]
 fn independent_pipelines_fast_matches_slow() {
     // Each row's banks must equal per-bank cycle-accurate pipelines run
@@ -264,32 +255,24 @@ fn independent_pipelines_fast_matches_slow() {
     let envs = grid_group(909, 4);
     let cfg = AccelConfig::default().with_seed(41);
     let two = Arc::new(ShardedExecutor::new(2));
-    let rows: [(&str, Route, u64, Option<&Arc<ShardedExecutor>>); 4] = [
-        ("fast, global pool", Route::FastEach, 4 * 8_000, None),
-        ("batch, total below bank count", Route::Batch, 3, None),
-        ("batch, uneven total", Route::Batch, 4 * 2_500 + 3, None),
+    let rows: [(&str, u64, Option<&Arc<ShardedExecutor>>); 4] = [
+        ("batch, even total, global pool", 4 * 8_000, None),
+        ("batch, total below bank count", 3, None),
+        ("batch, uneven total", 4 * 2_500 + 3, None),
         // Budgets above the ~64K-sample chunk make the work queue
         // re-enter every shard several times.
         (
             "batch, chunked re-entry on 2 workers",
-            Route::Batch,
             4 * 150_000,
             Some(&two),
         ),
     ];
-    for (label, route, total, pool) in rows {
+    for (label, total, pool) in rows {
         let mut fast = IndependentPipelines::<Q8_8>::new(&envs, cfg);
         if let Some(pool) = pool {
             fast = fast.with_executor(Arc::clone(pool));
         }
-        match route {
-            Route::FastEach => {
-                fast.train_samples_fast(&envs, total / envs.len() as u64);
-            }
-            Route::Batch => {
-                fast.train_batch(&envs, total);
-            }
-        }
+        fast.train_batch(&envs, total);
         let p = envs.len() as u64;
         let mut merged = CycleStats::default();
         for (i, env) in envs.iter().enumerate() {

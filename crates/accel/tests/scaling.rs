@@ -8,6 +8,9 @@
 //! vary — never results. These tests pin that contract for both
 //! engines, both algorithms, every hazard mode, instrumented and not,
 //! including P ≫ C oversubscription and `train_batch`'s uneven splits.
+//! `train_batch` runs an event sink on the cycle-accurate engine, so the
+//! cycle-accurate cases attach a `RingSink` per bank to put that engine
+//! on the pool.
 
 use qtaccel_accel::config::{AccelConfig, HazardMode};
 use qtaccel_accel::executor::{host_parallelism, ShardedExecutor};
@@ -16,7 +19,7 @@ use qtaccel_core::trainer::TrainerConfig;
 use qtaccel_envs::{Action, ActionSet, Environment, GridWorld, PartitionedGrid, State};
 use qtaccel_fixed::Q8_8;
 use qtaccel_hdl::lfsr::Lfsr32;
-use qtaccel_telemetry::CountersOnly;
+use qtaccel_telemetry::RingSink;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -78,19 +81,22 @@ fn parallel_cycle_accurate_matches_sequential_every_worker_count() {
             if sarsa {
                 cfg.trainer = TrainerConfig::sarsa(0.2).with_seed(77);
             }
-            let mut reference = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
+            let rings = || vec![RingSink::new(1 << 10); part.num_partitions()];
+            let mut reference =
+                IndependentPipelines::<Q8_8, _>::with_sinks(part.partitions(), cfg, rings());
             reference.train_samples_sequential(part.partitions(), 4_000);
             for workers in worker_counts() {
                 let pool = Arc::new(ShardedExecutor::new(workers));
-                let mut par = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg)
-                    .with_executor(pool);
+                let mut par =
+                    IndependentPipelines::<Q8_8, _>::with_sinks(part.partitions(), cfg, rings())
+                        .with_executor(pool);
                 assert_eq!(par.workers(), workers);
-                par.train_samples(part.partitions(), 4_000);
-                assert_banks_identical(
-                    &reference,
-                    &par,
-                    &format!("cycle-accurate {hazard:?} sarsa={sarsa} workers={workers}"),
-                );
+                par.train_batch(part.partitions(), 4 * 4_000);
+                let label = format!("cycle-accurate {hazard:?} sarsa={sarsa} workers={workers}");
+                assert_banks_identical(&reference, &par, &label);
+                for i in 0..par.len() {
+                    assert_eq!(reference.sink(i), par.sink(i), "{label}: bank {i} events");
+                }
             }
         }
     }
@@ -111,7 +117,7 @@ fn parallel_fast_path_matches_sequential_every_worker_count() {
                 let pool = Arc::new(ShardedExecutor::new(workers));
                 let mut par = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg)
                     .with_executor(pool);
-                par.train_samples_fast(part.partitions(), 6_000);
+                par.train_batch(part.partitions(), 4 * 6_000);
                 assert_banks_identical(
                     &reference,
                     &par,
@@ -133,7 +139,7 @@ fn oversubscribed_pipelines_remain_deterministic() {
     let pool = Arc::new(ShardedExecutor::new(2));
     let mut par =
         IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
-    par.train_samples_fast(part.partitions(), 5_000);
+    par.train_batch(part.partitions(), 16 * 5_000);
     assert_banks_identical(&reference, &par, "16 banks on 2 workers");
 }
 
@@ -144,21 +150,21 @@ fn instrumented_counters_merge_identically_in_parallel() {
     for hazard in HAZARDS {
         let part = four_banks(91);
         let cfg = AccelConfig::default().with_seed(13).with_hazard(hazard);
-        let sinks = vec![CountersOnly; part.num_partitions()];
-        let mut reference = IndependentPipelines::<Q8_8, CountersOnly>::with_sinks(
+        let sinks = vec![RingSink::new(1 << 10); part.num_partitions()];
+        let mut reference = IndependentPipelines::<Q8_8, RingSink>::with_sinks(
             part.partitions(),
             cfg,
             sinks.clone(),
         );
         reference.train_samples_sequential(part.partitions(), 3_000);
         let pool = Arc::new(ShardedExecutor::new(3));
-        let mut par = IndependentPipelines::<Q8_8, CountersOnly>::with_sinks(
+        let mut par = IndependentPipelines::<Q8_8, RingSink>::with_sinks(
             part.partitions(),
             cfg,
             sinks,
         )
         .with_executor(pool);
-        par.train_samples(part.partitions(), 3_000);
+        par.train_batch(part.partitions(), 4 * 3_000);
         assert_banks_identical(&reference, &par, &format!("instrumented {hazard:?}"));
         // The instrumented parallel run really counted something.
         assert!(par.merged_counters().iter().any(|(_, v)| v > 0));
@@ -246,6 +252,11 @@ fn durable_train_batch_is_bit_exact_across_a_kill_and_a_pool_swap() {
         .train_batch_durable(part.partitions(), 40_000, &dir, 4_000)
         .expect("second leg");
     assert_eq!(report.stats.samples, 40_000, "restored + new samples");
+    assert_eq!(
+        report.shards.iter().map(|s| s.samples).sum::<u64>(),
+        16_000,
+        "only the remainder is re-run"
+    );
     assert_banks_identical(&straight, &leg2, "durable resume across pools");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -338,6 +349,6 @@ fn global_pool_drives_default_training() {
     reference.train_samples_fast_sequential(part.partitions(), 2_000);
     let mut global = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
     assert!(global.workers() >= 1);
-    global.train_samples_fast(part.partitions(), 2_000);
+    global.train_batch(part.partitions(), 4 * 2_000);
     assert_banks_identical(&reference, &global, "global pool");
 }

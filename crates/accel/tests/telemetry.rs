@@ -6,6 +6,8 @@
 //!   algorithms, every hazard mode and both executors.
 //! * **Counter parity**: the fast-path executor mirrors every counter
 //!   the cycle-accurate path maintains.
+//! * **Event parity**: an event sink records the same trace whichever
+//!   entry point drove it.
 //! * **Pinned golden**: the Table-I |S|=64 design point's full counter
 //!   dump is pinned, so any change to counter attribution is loud.
 //! * **Round-trip**: the JSONL event stream and the counter dump parse
@@ -124,6 +126,41 @@ fn counters_match_between_cycle_and_fast_paths() {
                 id.name()
             );
         }
+    }
+}
+
+#[test]
+fn event_sinks_record_the_same_trace_through_either_entry_point() {
+    // Only the cycle-accurate engine emits events, so the fast entry
+    // point must hand an event sink to it rather than leave the trace
+    // empty while the counters fill.
+    for hazard in HAZARDS {
+        let cfg = AccelConfig::default().with_seed(17).with_hazard(hazard);
+        let g = grid();
+        let ring = || RingSink::new(1 << 16);
+        let mut cyc = QLearningAccel::<Q8_8, RingSink>::with_sink(&g, cfg, ring());
+        let mut fast = QLearningAccel::<Q8_8, RingSink>::with_sink(&g, cfg, ring());
+        assert_eq!(
+            cyc.train_samples(&g, 3_000),
+            fast.train_samples_fast(&g, 3_000)
+        );
+        assert!(
+            !cyc.sink().is_empty(),
+            "{hazard:?}: the cycle engine emits events"
+        );
+        assert_eq!(cyc.sink(), fast.sink(), "{hazard:?}: event traces differ");
+
+        let mut scyc = SarsaAccel::<Q8_8, RingSink>::with_sink(&g, cfg, 0.2, ring());
+        let mut sfast = SarsaAccel::<Q8_8, RingSink>::with_sink(&g, cfg, 0.2, ring());
+        assert_eq!(
+            scyc.train_samples(&g, 3_000),
+            sfast.train_samples_fast(&g, 3_000)
+        );
+        assert_eq!(
+            scyc.sink(),
+            sfast.sink(),
+            "sarsa {hazard:?}: event traces differ"
+        );
     }
 }
 

@@ -36,8 +36,9 @@ pub enum ClusterError {
         /// Connection attempts made before giving up.
         attempts: u32,
     },
-    /// The peer answered the handshake with something other than the
-    /// expected frame kind.
+    /// The peer sent a frame the protocol does not allow: a handshake
+    /// answer of the wrong kind, or a lease naming a shard outside the
+    /// spec.
     Protocol(&'static str),
     /// A filesystem-level failure outside the checkpoint codec.
     Io(std::io::Error),

@@ -2,7 +2,8 @@
 //!
 //! A worker dials the coordinator with jittered exponential backoff,
 //! verifies the spec hash and capability mask from the hello-ack, then
-//! serves leases: each lease drives
+//! serves leases: a lease naming a shard outside the spec is refused,
+//! and every other lease drives
 //! `IndependentPipelines::train_shard_durable` — restore the shard's
 //! checkpoint (if any), refuse if the checkpoint was sealed under a
 //! newer epoch (we are a zombie), train in chunks, checkpoint durably,
@@ -244,6 +245,9 @@ pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport
                         budget,
                         checkpoint_every,
                     } => {
+                        if lease >= spec.shards() as u64 {
+                            return Err(ClusterError::Protocol("lease index out of range"));
+                        }
                         // Chaos interception (first lease only).
                         if chaos_armed {
                             match cfg.chaos {

@@ -18,7 +18,7 @@ use qtaccel_cluster::{
     run_worker, ChaosMode, ClusterError, ClusterSpec, Coordinator, CoordinatorConfig, WorkerClose,
     WorkerConfig,
 };
-use qtaccel_telemetry::wire::goodbye_reason;
+use qtaccel_telemetry::wire::{goodbye_reason, CAP_LEASE_V1};
 use qtaccel_telemetry::{FramePayload, MetricValue, WireClient};
 
 fn tmp(name: &str) -> PathBuf {
@@ -376,4 +376,45 @@ fn coordinator_refuses_metrics_frames_on_the_control_port() {
         }
     }
     assert!(coord.status().refused_frames >= 1);
+}
+
+#[test]
+fn out_of_range_lease_is_refused_not_a_panic() {
+    // A coordinator that hands out a lease index past the spec's shard
+    // count must get a typed refusal before the worker restores or
+    // trains anything.
+    let s = spec();
+    let dir = tmp("bad-lease");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let worker = {
+        let cfg = WorkerConfig::new(addr, 5, dir.clone());
+        std::thread::spawn(move || run_worker(&s, &cfg))
+    };
+    let (stream, _) = listener.accept().expect("accept");
+    let mut session = WireClient::from_stream(stream, 0).expect("session");
+    match session.recv_timeout(Duration::from_secs(5)) {
+        Ok(Some(f)) => assert!(matches!(f.payload, FramePayload::Hello { .. })),
+        other => panic!("expected hello, got {other:?}"),
+    }
+    session
+        .send(FramePayload::HelloAck {
+            capabilities: CAP_LEASE_V1,
+            spec_hash: s.hash(),
+        })
+        .expect("hello-ack");
+    session
+        .send(FramePayload::Lease {
+            lease: s.shards() as u64,
+            epoch: 1,
+            budget: 1_000,
+            checkpoint_every: s.checkpoint_every,
+        })
+        .expect("lease");
+    match worker.join().expect("worker must not panic") {
+        Err(ClusterError::Protocol(_)) => {}
+        other => panic!("expected a protocol refusal, got {other:?}"),
+    }
+    let written = std::fs::read_dir(&dir).expect("dir").count();
+    assert_eq!(written, 0, "nothing may be restored or written");
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline build, tests, lints, the telemetry
+# Tier-1 verification: offline build, tests, lints (one clippy gate
+# over every workspace member's targets), the telemetry
 # zero-cost equivalence suite, the metrics-service suite plus a live
 # scrape smoke test, the fault-tolerance suites (SEU injection,
 # checkpoint/restore) with the self-gating protection-ladder campaign
@@ -114,9 +115,6 @@ gate 600 "distributed training-cluster suite (release)" \
 
 gate 900 "cargo clippy (offline, deny warnings)" \
   cargo clippy --offline --workspace --all-targets -- -D warnings
-
-gate 300 "cargo clippy: qtaccel-cluster (explicit, deny warnings)" \
-  cargo clippy --offline -p qtaccel-cluster --all-targets -- -D warnings
 
 gate 600 "bench_throughput --quick --check-baseline" \
   cargo run --release --offline -p qtaccel-bench --bin bench_throughput -- --quick --check-baseline
