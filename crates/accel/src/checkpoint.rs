@@ -39,6 +39,10 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+/// CRC-32/ISO-HDLC, the checksum sealing every checkpoint (shared with
+/// the telemetry wire frames).
+pub use qtaccel_telemetry::wire::crc32;
+
 /// `"QTACCKPT"` in ASCII — the first word of every checkpoint file.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"QTACCKPT");
 
@@ -113,35 +117,6 @@ impl std::error::Error for CheckpointError {
             _ => None,
         }
     }
-}
-
-/// CRC-32/ISO-HDLC (the zlib/PNG polynomial, reflected), one nibble per
-/// table step — small table, no dependency.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1DB7_1064,
-        0x3B6E_20C8,
-        0x26D9_30AC,
-        0x76DC_4190,
-        0x6B6B_51F4,
-        0x4DB2_6158,
-        0x5005_713C,
-        0xEDB8_8320,
-        0xF00F_9344,
-        0xD6D6_A3E8,
-        0xCB61_B38C,
-        0x9B64_C2B0,
-        0x86D3_D2D4,
-        0xA00A_E278,
-        0xBDBD_F21C,
-    ];
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xF) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xF) as usize];
-    }
-    !crc
 }
 
 /// Accumulates checkpoint payload words and seals them with the header

@@ -524,7 +524,7 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
 /// fairly, but each chunk must stay long enough to (a) amortize the
 /// queue round-trip and (b) amortize the `|S|·|A|` Q-column resync the
 /// fast path's window-register loop pays on every entry (see
-/// `AccelPipeline::run_samples_fast`). The
+/// `AccelPipeline::train_samples_fast`). The
 /// result depends only on the shard's own budget and table size, never
 /// on worker count — chunk boundaries are part of the deterministic
 /// schedule.

@@ -15,16 +15,17 @@
 //!   [`HazardMode::Ignore`] (no interlock at all: stale operands, wrong
 //!   values — demonstrates that the dependency handling is *necessary*).
 //!   Beside the cycle-accurate engine sits a bit-exact fast path
-//!   ([`AccelPipeline::run_samples_fast`]): one window-register sample
+//!   ([`AccelPipeline::train_samples_fast`]): one window-register sample
 //!   loop, generic over the stored-word codec (full-width, or q4/q6/q8
 //!   with the stochastic writeback rounder), for the paper's
 //!   `Forwarding` + Qmax-array configuration, and a general windowed
 //!   executor for every other configuration and for counter and health
 //!   sinks. Event sinks run on the cycle-accurate engine.
-//! * [`qlearning`] / [`sarsa`] — the two §V engine customizations:
-//!   Q-Learning (random behaviour, greedy update via the Qmax array) and
-//!   SARSA (ε-greedy, on-policy action forwarding from stage 2 to
-//!   stage 1).
+//! * [`qlearning`] / [`sarsa`] — the two §V presets of the one
+//!   [`AccelPipeline`] engine: constructors that fix the policy units
+//!   for Q-Learning (random behaviour, greedy update via the Qmax array)
+//!   and SARSA (ε-greedy, on-policy action forwarding from stage 2 to
+//!   stage 1), then `Deref` to the pipeline for everything else.
 //! * [`multi`] — the §VII-A parallel-pipeline configurations: two
 //!   state-sharing pipelines over dual-port BRAM with write-collision
 //!   arbitration (Fig. 8) and N independent pipelines over partitioned
@@ -42,7 +43,9 @@
 //!   table is replaced by Irwin–Hall LFSR normal samplers; ε-greedy and
 //!   EXP3 (probability-table) arm selection.
 //! * [`resources`] — the structural resource model (DSP/BRAM/FF/LUT)
-//!   behind Figs. 3, 4, 5 and the modeled throughput behind Fig. 6.
+//!   behind Figs. 3, 4, 5 and the modeled throughput behind Fig. 6, and
+//!   [`AccelPipeline::resources`], the one pricing of a Q-table pipeline
+//!   with its telemetry and SECDED add-ons.
 //! * [`fault`] — the fault-tolerance runtime: online SEU injection
 //!   against the Q/Qmax memories, the SECDED protection model (codec in
 //!   `qtaccel-hdl`), and the background Qmax scrubbing engine that

@@ -448,11 +448,7 @@ impl<V: QValue> DualPipelineShared<V> {
     /// paper's point that dual-port BRAM gives the second pipeline for
     /// free memory-wise.
     pub fn resources(&self) -> AccelResources {
-        let kind = if self.config.trainer.forward_next_action {
-            EngineKind::Sarsa
-        } else {
-            EngineKind::QLearning
-        };
+        let kind = EngineKind::of(&self.config.trainer);
         let single = resource_report(self.num_states, self.num_actions, V::storage_bits(), kind);
         let mut r = analyze(
             self.num_states,
@@ -605,7 +601,7 @@ impl<'a> Durable<'a> {
         parent: Option<SpanContext>,
     ) -> Result<(), CheckpointError> {
         let before = pipe.stats().samples;
-        pipe.run_samples_fast(env, n);
+        pipe.train_samples_fast(env, n);
         let reached = pipe.stats().samples / self.every;
         if before / self.every == reached {
             return Ok(());
@@ -885,7 +881,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
 
     /// The sequential reference for the cycle-accurate engine: every
     /// pipeline runs `samples_each` updates through
-    /// `AccelPipeline::run_samples` on the calling thread, no executor,
+    /// `AccelPipeline::train_samples` on the calling thread, no executor,
     /// no chunking. The scale-out determinism tests pin the batch paths
     /// bit-exactly to this.
     pub fn train_samples_sequential<E: Environment>(
@@ -895,13 +891,13 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     ) -> CycleStats {
         assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
         for (pipe, env) in self.pipes.iter_mut().zip(envs) {
-            pipe.run_samples(env, samples_each);
+            pipe.train_samples(env, samples_each);
         }
         self.stats()
     }
 
     /// [`train_samples_sequential`](Self::train_samples_sequential)
-    /// through `AccelPipeline::run_samples_fast` — the sequential
+    /// through `AccelPipeline::train_samples_fast` — the sequential
     /// reference for [`train_batch`](Self::train_batch).
     pub fn train_samples_fast_sequential<E: Environment>(
         &mut self,
@@ -910,14 +906,14 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     ) -> CycleStats {
         assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
         for (pipe, env) in self.pipes.iter_mut().zip(envs) {
-            pipe.run_samples_fast(env, samples_each);
+            pipe.train_samples_fast(env, samples_each);
         }
         self.stats()
     }
 
     /// Sharded batch training: split a *total* sample budget across the
     /// banks with [`shard_budget`] and drive every shard through
-    /// `AccelPipeline::run_samples_fast` on the worker pool (which runs
+    /// `AccelPipeline::train_samples_fast` on the worker pool (which runs
     /// an event sink on the cycle-accurate engine). Results are
     /// bit-identical to running the same per-shard budgets sequentially.
     pub fn train_batch<E: Environment + Sync>(
@@ -1023,7 +1019,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         let failed: Mutex<Option<CheckpointError>> = Mutex::new(None);
         let stats = self.drive(envs, &shards, ctx, |i, pipe, env, n, chunk_ctx| {
             let Some(durable) = &durable else {
-                pipe.run_samples_fast(env, n);
+                pipe.train_samples_fast(env, n);
                 return;
             };
             if let Err(e) = durable.run(i, pipe, env, n, chunk_ctx) {
@@ -1211,23 +1207,12 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     }
 
     /// Summed resources: every pipeline brings its own tables and
-    /// datapath.
+    /// datapath, priced by [`AccelPipeline::resources`] with its own
+    /// sink, fault and quantization add-ons.
     pub fn resources(&self) -> qtaccel_hdl::resource::ResourceReport {
-        let mut total = qtaccel_hdl::resource::ResourceReport::default();
-        for p in &self.pipes {
-            let kind = if p.config().trainer.forward_next_action {
-                EngineKind::Sarsa
-            } else {
-                EngineKind::QLearning
-            };
-            total = total.combine(resource_report(
-                p.num_states(),
-                p.num_actions(),
-                V::storage_bits(),
-                kind,
-            ));
-        }
-        total
+        self.pipes.iter().fold(Default::default(), |total, p| {
+            total.combine(p.resources().report)
+        })
     }
 }
 
@@ -1391,6 +1376,36 @@ mod tests {
         let r = ind.resources();
         assert_eq!(r.dsp, 16, "4 pipelines x 4 DSPs");
         assert!(r.bram36 >= 4 * 3, "each bank has Q+R+Qmax");
+
+        // A bank's SECDED pricing survives the sum: ECC on bank 0 costs
+        // BRAM (on banks big enough for the wider words to spill into
+        // more blocks), and the pool is exactly its single-bank reports.
+        let part = PartitionedGrid::new(128, 128, 2, 2, 0, ActionSet::Four, &mut rng);
+        let plain = IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
+        let ecc = FaultConfig {
+            ecc: true,
+            ..FaultConfig::default()
+        };
+        let mut protected =
+            IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
+        protected.enable_faults(0, ecc);
+        let mut banks: Vec<_> = part
+            .partitions()
+            .iter()
+            .map(|env| crate::QLearningAccel::<Q8_8>::new(env, AccelConfig::default()))
+            .collect();
+        banks[0].enable_faults(ecc);
+        let singles = banks
+            .iter()
+            .fold(qtaccel_hdl::resource::ResourceReport::default(), |t, b| {
+                t.combine(b.resources().report)
+            });
+        let rp = protected.resources();
+        assert!(
+            rp.bram36 > plain.resources().bram36,
+            "SECDED widens bank 0's words"
+        );
+        assert_eq!(rp, singles, "the pool is the sum of its banks");
     }
 
     #[test]

@@ -32,13 +32,13 @@
 //!
 //! The queues are drained once per step (the per-step commit point at the
 //! top of [`AccelPipeline::step`]) instead of before every read, and each
-//! read resolves its newest in-flight writer through [`FwdIndex`] — an
+//! read resolves its newest in-flight writer through `FwdIndex` — an
 //! O(1) direct-mapped last-writer map — instead of a linear queue scan.
 //! Reads that race a write committing mid-step compare the entry's commit
 //! cycle against the read cycle, so cycle/stall/forward/bubble counters
 //! are bit-identical to the scan-per-read formulation (pinned by the
 //! `hazard_mode_cycle_stats_are_pinned` regression test). This is the
-//! cycle-accurate engine; [`AccelPipeline::run_samples_fast`] is the
+//! cycle-accurate engine; [`AccelPipeline::train_samples_fast`] is the
 //! bit-exact fast path that skips the per-cycle bookkeeping entirely.
 
 use std::collections::VecDeque;
@@ -481,7 +481,7 @@ impl<V: QValue> WindowCodec<V> for Quantized<V> {
 /// off. An instrumented sink maintains the [`CounterBank`] (and, for
 /// event-bearing sinks, receives cycle-stamped [`Event`]s from the
 /// cycle-accurate engine; the fast path mirrors the counters but emits no
-/// events — see [`run_samples_fast`](Self::run_samples_fast)).
+/// events — see [`train_samples_fast`](Self::train_samples_fast)).
 #[derive(Debug, Clone)]
 pub struct AccelPipeline<V, S: TraceSink = NullSink> {
     num_states: usize,
@@ -1314,7 +1314,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     }
 
     /// Run `n` iterations.
-    pub fn run_samples<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
+    pub fn train_samples<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
         for _ in 0..n {
             self.step(env);
         }
@@ -1538,7 +1538,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// loop iteration, closed-form cycle accounting, no per-cycle queue
     /// bookkeeping — and bit-identical results.
     ///
-    /// An event sink (`S::EVENTS`) runs [`run_samples`](Self::run_samples)
+    /// An event sink (`S::EVENTS`) runs [`train_samples`](Self::train_samples)
     /// instead, the only engine that emits events. For every other sink,
     /// two loops sit behind this entry point:
     ///
@@ -1556,7 +1556,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     ///   `StallOnly` modes every read returns the *newest* write to its
     ///   address (via the forwarding network, or because the front end
     ///   stalled until the write landed), so it commits writes to memory
-    ///   immediately and keeps only a [`FAST_RING`]-entry window of
+    ///   immediately and keeps only a `FAST_RING`-entry window of
     ///   `(address, commit cycle)` history to reproduce the forward
     ///   counts and stall delays the real pipeline reports. `Ignore` mode
     ///   is the one place stale values are architecturally visible, so
@@ -1567,18 +1567,18 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// Entry/exit protocols convert between the cycle-accurate pending
     /// queues and each loop's window so the executors can be interleaved
     /// freely on one pipeline: final Q-table, Qmax table, and
-    /// [`CycleStats`] are bit-identical to [`run_samples`](Self::run_samples)
+    /// [`CycleStats`] are bit-identical to [`train_samples`](Self::train_samples)
     /// (enforced by the `fast_path` equivalence tests). One observable
     /// caveat: the raw *committed* BRAM image may lead the cycle-accurate
     /// formulation by up to the pipeline depth at the moment of return,
     /// which matters only to [`inject_q_bit_flip`](Self::inject_q_bit_flip)
     /// racing an in-flight write.
-    pub fn run_samples_fast<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
+    pub fn train_samples_fast<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
         debug_assert_eq!(env.num_states(), self.num_states, "environment mismatch");
         debug_assert_eq!(env.num_actions(), self.num_actions, "environment mismatch");
 
         if S::EVENTS {
-            return self.run_samples(env, n);
+            return self.train_samples(env, n);
         }
 
         // The window-register loop is uninstrumented by design (its whole
@@ -2662,7 +2662,7 @@ mod tests {
     fn one_sample_per_cycle_with_forwarding() {
         let g = grid();
         let mut p = AccelPipeline::<Q8_8>::new(&g, config(1), 0);
-        let stats = p.run_samples(&g, 10_000);
+        let stats = p.train_samples(&g, 10_000);
         assert_eq!(stats.samples, 10_000);
         assert_eq!(stats.stalls, 0, "forwarding never stalls");
         assert_eq!(stats.cycles, 10_000 + FILL, "fill + 1/cycle");
@@ -2675,7 +2675,7 @@ mod tests {
         // forwarding network must actually fire.
         let g = GridWorld::builder(2, 2).goal(1, 1).build();
         let mut p = AccelPipeline::<Q8_8>::new(&g, config(2), 0);
-        let stats = p.run_samples(&g, 5_000);
+        let stats = p.train_samples(&g, 5_000);
         assert!(stats.forwards > 0, "no hazards on a 4-state world?");
     }
 
@@ -2688,7 +2688,7 @@ mod tests {
                 g.clone(),
                 TrainerConfig::q_learning().with_seed(seed),
             );
-            hw.run_samples(&g, 20_000);
+            hw.train_samples(&g, 20_000);
             sw.run_samples(20_000);
             assert_eq!(
                 hw.q_table().as_slice(),
@@ -2707,7 +2707,7 @@ mod tests {
             let mut hw = AccelPipeline::<Q8_8>::new(&g, cfg, 0);
             let mut sw =
                 RefTrainer::<Q8_8, _>::new(g.clone(), TrainerConfig::sarsa(0.2).with_seed(seed));
-            hw.run_samples(&g, 20_000);
+            hw.train_samples(&g, 20_000);
             sw.run_samples(20_000);
             assert_eq!(
                 hw.q_table().as_slice(),
@@ -2723,8 +2723,8 @@ mod tests {
         let mut fwd = AccelPipeline::<Q8_8>::new(&g, config(5), 0);
         let mut stall =
             AccelPipeline::<Q8_8>::new(&g, config(5).with_hazard(HazardMode::StallOnly), 0);
-        let sf = fwd.run_samples(&g, 10_000);
-        let ss = stall.run_samples(&g, 10_000);
+        let sf = fwd.train_samples(&g, 10_000);
+        let ss = stall.train_samples(&g, 10_000);
         assert_eq!(
             fwd.q_table().as_slice(),
             stall.q_table().as_slice(),
@@ -2785,7 +2785,7 @@ mod tests {
                 .with_seed(8)
                 .with_max_mode(MaxMode::ExactScan),
         );
-        let stats = hw.run_samples(&g, 5_000);
+        let stats = hw.train_samples(&g, 5_000);
         sw.run_samples(5_000);
         assert_eq!(hw.q_table().as_slice(), sw.q().as_slice());
         // Every sample pays the |A|-1 = 3 extra scan cycles.
@@ -2797,7 +2797,7 @@ mod tests {
     fn pipeline_learns_the_grid() {
         let g = grid();
         let mut p = AccelPipeline::<Q16_16>::new(&g, config(11), 0);
-        p.run_samples(&g, 400_000);
+        p.train_samples(&g, 400_000);
         let policy = p.greedy_policy();
         let opt = qtaccel_core::eval::step_optimality(&g, &policy, &g.shortest_distances());
         assert!(opt > 0.95, "step-optimality {opt}");
@@ -2807,7 +2807,7 @@ mod tests {
     fn qmax_extraction_is_upper_bound() {
         let g = grid();
         let mut p = AccelPipeline::<Q8_8>::new(&g, config(13), 0);
-        p.run_samples(&g, 50_000);
+        p.train_samples(&g, 50_000);
         let q = p.q_table();
         let qmax = p.qmax_table();
         for s in 0..g.num_states() as State {
@@ -2858,7 +2858,7 @@ mod tests {
             let env = GridWorld::builder(g.w, g.h).goal(g.w - 1, g.h - 1).build();
             let cfg = AccelConfig::default().with_seed(g.seed).with_hazard(g.hazard);
             let mut p = AccelPipeline::<Q8_8>::new(&env, cfg, 0);
-            let stats = p.run_samples(&env, g.n);
+            let stats = p.train_samples(&env, g.n);
             assert_eq!(
                 (stats.cycles, stats.stalls, stats.forwards, stats.fill_bubbles),
                 (g.cycles, g.stalls, g.forwards, FILL),
@@ -2877,7 +2877,7 @@ mod tests {
             cfg.trainer = TrainerConfig::sarsa(0.2).with_seed(17);
             cfg.hazard = hazard;
             let mut p = AccelPipeline::<Q8_8>::new(&env, cfg, 0);
-            let stats = p.run_samples(&env, 15_000);
+            let stats = p.train_samples(&env, 15_000);
             assert_eq!((stats.cycles, stats.stalls), (cycles, stalls), "sarsa {hazard:?}");
         }
 
@@ -2887,7 +2887,7 @@ mod tests {
             .with_hazard(HazardMode::StallOnly)
             .with_max_mode(MaxMode::ExactScan);
         let mut p = AccelPipeline::<Q8_8>::new(&env, cfg, 0);
-        let stats = p.run_samples(&env, 8_000);
+        let stats = p.train_samples(&env, 8_000);
         assert_eq!((stats.cycles, stats.stalls), (34_617, 26_614), "exact-scan stall-only");
     }
 

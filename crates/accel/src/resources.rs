@@ -18,6 +18,9 @@
 //!   records them against each figure.
 
 use crate::config::AccelConfig;
+use crate::pipeline::AccelPipeline;
+use qtaccel_core::trainer::TrainerConfig;
+use qtaccel_fixed::QValue;
 use qtaccel_hdl::bram::blocks_for;
 use qtaccel_hdl::dsp::dsp_slices_for_mul;
 use qtaccel_hdl::resource::{ResourceReport, Utilization};
@@ -31,6 +34,20 @@ pub enum EngineKind {
     Sarsa,
     /// Single-state bandit engine with LFSR reward sampling.
     Bandit,
+}
+
+impl EngineKind {
+    /// The Q-table engine a trainer configuration elaborates to. The
+    /// stage-2 → stage-1 action forward is the one datapath difference
+    /// between the §V presets: forwarding means SARSA's on-policy
+    /// ε-greedy LFSR bank, no forward means Q-Learning.
+    pub fn of(trainer: &TrainerConfig) -> Self {
+        if trainer.forward_next_action {
+            Self::Sarsa
+        } else {
+            Self::QLearning
+        }
+    }
 }
 
 /// Number of bits to address one of `n` items.
@@ -298,6 +315,56 @@ pub fn analyze_stored(
         fmax_mhz,
         throughput_msps: fmax_mhz * samples_per_cycle,
         power_mw: config.power.power_mw(&report, fmax_mhz),
+    }
+}
+
+impl<V: QValue, S: qtaccel_telemetry::TraceSink> AccelPipeline<V, S> {
+    /// Structural resources, modeled fmax/throughput/power for this
+    /// instance (Figs. 3–6), priced as the engine kind its config
+    /// elaborates to ([`EngineKind::of`]). The add-ons follow what is
+    /// attached: a counter-bearing sink brings the perf-counter bank
+    /// ([`with_perf_regfile`]); an event-emitting sink the
+    /// stall-run-length histogram monitor ([`with_histogram_regfile`] —
+    /// it is fed from the stall event stream, so it only exists when that
+    /// stream does); a health sink the probe block
+    /// ([`with_health_probes`]); an ECC fault config the SECDED codewords
+    /// and codecs ([`with_secded`]). With none of them the report is the
+    /// uninstrumented baseline.
+    pub fn resources(&self) -> AccelResources {
+        let config = self.config();
+        let (states, actions) = (self.num_states(), self.num_actions());
+        // A quantized table narrows the stored word everywhere the
+        // model prices memory: the base tables, the health probe's rail
+        // comparators, and the SECDED codewords all see `stored_bits`.
+        let stored_bits = self.quant().map_or(V::storage_bits(), |p| p.stored_bits());
+        let stats = self.stats();
+        let mut res = analyze_stored(
+            states,
+            actions,
+            V::storage_bits(),
+            stored_bits,
+            EngineKind::of(&config.trainer),
+            config,
+            // Before any sample retires, report the design rate.
+            stats
+                .samples_per_cycle()
+                .max(if stats.samples == 0 { 1.0 } else { 0.0 }),
+        );
+        if S::COUNTERS {
+            res = with_perf_regfile(res, config);
+        }
+        if S::EVENTS {
+            res = with_histogram_regfile(res, config);
+        }
+        if S::HEALTH {
+            res = with_health_probes(res, config, states, stored_bits);
+        }
+        // ECC widens the words over the stored width: narrow payloads pay
+        // proportionally more check bits.
+        if self.fault_config().is_some_and(|c| c.ecc) {
+            res = with_secded(res, config, states, actions, stored_bits);
+        }
+        res
     }
 }
 

@@ -1,4 +1,4 @@
-//! The SARSA engine (§V-B) — the first FPGA SARSA design in the paper.
+//! The SARSA preset (§V-B) — the first FPGA SARSA design in the paper.
 //!
 //! Behaviour and update policy are the same ε-greedy distribution
 //! (on-policy): a single LFSR word per selection decides explore/exploit
@@ -8,24 +8,17 @@
 //! available at the beginning of 3rd stage will be forwarded to the 1st
 //! stage as the next-step action").
 
-use crate::checkpoint::CheckpointError;
 use crate::config::AccelConfig;
-use crate::fault::{FaultConfig, FaultStats};
 use crate::pipeline::AccelPipeline;
-use crate::resources::{
-    analyze_stored, with_health_probes, with_histogram_regfile, with_perf_regfile, with_secded,
-    AccelResources, EngineKind,
-};
 use qtaccel_core::policy::Policy;
-use qtaccel_core::qtable::{PackedQTable, QTable, QmaxTable};
-use qtaccel_core::trainer::Transition;
-use qtaccel_envs::{Action, Environment};
-use qtaccel_fixed::{QValue, QuantPolicy};
-use qtaccel_hdl::pipeline::CycleStats;
-use qtaccel_telemetry::{CounterBank, NullSink, TraceSink};
-use std::path::Path;
+use qtaccel_envs::Environment;
+use qtaccel_fixed::QValue;
+use qtaccel_telemetry::{NullSink, TraceSink};
+use std::ops::{Deref, DerefMut};
 
-/// The SARSA accelerator instance.
+/// The SARSA accelerator: an [`AccelPipeline`] built with the SARSA
+/// policy fixture, every other method reached through `Deref` (see
+/// [`QLearningAccel`](crate::QLearningAccel)).
 ///
 /// Generic over a [`TraceSink`] (default [`NullSink`] = telemetry off,
 /// zero cost); see [`SarsaAccel::with_sink`].
@@ -61,177 +54,30 @@ impl<V: QValue, S: TraceSink> SarsaAccel<V, S> {
         }
     }
 
-    /// The pipeline's perf-counter bank (all-zero unless a
-    /// counter-bearing sink is attached).
-    pub fn counters(&self) -> &CounterBank {
-        self.pipe.counters()
-    }
-
-    /// The attached trace sink.
-    pub fn sink(&self) -> &S {
-        self.pipe.sink()
-    }
-
-    /// Mutable access to the attached trace sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        self.pipe.sink_mut()
-    }
-
     /// Consume the engine and return its sink.
     pub fn into_sink(self) -> S {
         self.pipe.into_sink()
     }
+}
 
-    /// The sink's training-health probe, when one is attached (see
-    /// `qtaccel_telemetry::HealthSink`; `None` for every other sink).
-    pub fn health_probe(&self) -> Option<&qtaccel_telemetry::HealthProbe> {
-        self.pipe.health_probe()
+impl<V, S: TraceSink> Deref for SarsaAccel<V, S> {
+    type Target = AccelPipeline<V, S>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.pipe
     }
+}
 
-    /// Run `n` Q-value updates and return the cumulative cycle counters.
-    pub fn train_samples<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
-        self.pipe.run_samples(env, n)
-    }
-
-    /// Run `n` Q-value updates through the fast-path executor — results
-    /// bit-identical to [`train_samples`](Self::train_samples), host
-    /// throughput much higher (see `AccelPipeline::run_samples_fast`).
-    pub fn train_samples_fast<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
-        self.pipe.run_samples_fast(env, n)
-    }
-
-    /// One update, exposed for tracing.
-    pub fn step<E: Environment>(&mut self, env: &E) -> Transition<V> {
-        self.pipe.step(env)
-    }
-
-    /// Cycle counters so far.
-    pub fn stats(&self) -> CycleStats {
-        self.pipe.stats()
-    }
-
-    /// The learned Q-table (architectural view).
-    pub fn q_table(&self) -> QTable<V> {
-        self.pipe.q_table()
-    }
-
-    /// The Qmax array (architectural view).
-    pub fn qmax_table(&self) -> QmaxTable<V> {
-        self.pipe.qmax_table()
-    }
-
-    /// Exact greedy policy extraction.
-    pub fn greedy_policy(&self) -> Vec<Action> {
-        self.pipe.greedy_policy()
-    }
-
-    /// Attach the fault-tolerance runtime — online SEU injection, SECDED
-    /// protection, Qmax scrubbing (see
-    /// `AccelPipeline::enable_faults` and [`FaultConfig`]).
-    pub fn enable_faults(&mut self, config: FaultConfig) {
-        self.pipe.enable_faults(config);
-    }
-
-    /// Switch to a quantized stored Q-table format — entries held on
-    /// `policy`'s grid, writebacks stochastically rounded (see
-    /// `AccelPipeline::enable_quant` and DESIGN.md §2.14). Must be
-    /// called before training starts.
-    pub fn enable_quant(&mut self, policy: QuantPolicy) {
-        self.pipe.enable_quant(policy);
-    }
-
-    /// The quantization policy in force, if any.
-    pub fn quant(&self) -> Option<&QuantPolicy> {
-        self.pipe.quant()
-    }
-
-    /// The learned Q-table in its packed stored form (`None` unless
-    /// quantization is enabled; see `AccelPipeline::packed_q_table`).
-    pub fn packed_q_table(&self) -> Option<PackedQTable> {
-        self.pipe.packed_q_table()
-    }
-
-    /// The fault configuration in force, if any.
-    pub fn fault_config(&self) -> Option<FaultConfig> {
-        self.pipe.fault_config()
-    }
-
-    /// Fault-campaign counters, if a fault runtime is attached.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.pipe.fault_stats()
-    }
-
-    /// Durably checkpoint the full training state to `path` (see
-    /// `AccelPipeline::save_checkpoint`).
-    pub fn save_checkpoint(&self, path: &Path) -> Result<(), CheckpointError> {
-        self.pipe.save_checkpoint(path)
-    }
-
-    /// Restore training state from a checkpoint file; resume is
-    /// bit-exact (see `AccelPipeline::restore_checkpoint`).
-    pub fn restore_checkpoint(&mut self, path: &Path) -> Result<(), CheckpointError> {
-        self.pipe.restore_checkpoint(path)
-    }
-
-    /// Structural resources, modeled fmax/throughput/power (Figs. 4, 5,
-    /// 6). When a counter-bearing sink is attached the perf-counter
-    /// bank's fabric cost is included (see [`with_perf_regfile`]); an
-    /// event-emitting sink additionally folds in the stall-run-length
-    /// histogram monitor ([`with_histogram_regfile`]).
-    pub fn resources(&self) -> AccelResources {
-        // A quantized table narrows the stored word everywhere the
-        // model prices memory (see `QLearningAccel::resources`).
-        let stored_bits = self
-            .pipe
-            .quant()
-            .map_or(V::storage_bits(), |p| p.stored_bits());
-        let res = analyze_stored(
-            self.pipe.num_states(),
-            self.pipe.num_actions(),
-            V::storage_bits(),
-            stored_bits,
-            EngineKind::Sarsa,
-            self.pipe.config(),
-            self.pipe.stats().samples_per_cycle().max(
-                if self.pipe.stats().samples == 0 { 1.0 } else { 0.0 },
-            ),
-        );
-        let mut res = if S::COUNTERS {
-            with_perf_regfile(res, self.pipe.config())
-        } else {
-            res
-        };
-        if S::EVENTS {
-            res = with_histogram_regfile(res, self.pipe.config());
-        }
-        // A health-probing sink brings the probe block
-        // ([`with_health_probes`]).
-        if S::HEALTH {
-            res = with_health_probes(
-                res,
-                self.pipe.config(),
-                self.pipe.num_states(),
-                stored_bits,
-            );
-        }
-        // ECC-protected memories carry their codecs and widened words
-        // (over the stored width).
-        if self.pipe.fault_config().is_some_and(|c| c.ecc) {
-            res = with_secded(
-                res,
-                self.pipe.config(),
-                self.pipe.num_states(),
-                self.pipe.num_actions(),
-                stored_bits,
-            );
-        }
-        res
+impl<V, S: TraceSink> DerefMut for SarsaAccel<V, S> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.pipe
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qtaccel_core::trainer::Transition;
     use qtaccel_envs::{Environment, GridWorld};
     use qtaccel_fixed::Q8_8;
 

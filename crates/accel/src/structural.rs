@@ -443,7 +443,7 @@ mod tests {
             let mut structural = StructuralQLearning::<Q8_8>::new(&g, cfg(seed));
             let mut behavioral = AccelPipeline::<Q8_8>::new(&g, cfg(seed), 0);
             structural.run_samples(&g, 30_000);
-            behavioral.run_samples(&g, 30_000);
+            behavioral.train_samples(&g, 30_000);
             assert_eq!(
                 structural.q_table().as_slice(),
                 behavioral.q_table().as_slice(),
@@ -461,7 +461,7 @@ mod tests {
             let mut structural = StructuralQLearning::<Q16_16>::new(&g, cfg(seed));
             let mut behavioral = AccelPipeline::<Q16_16>::new(&g, cfg(seed), 0);
             structural.run_samples(&g, 20_000);
-            behavioral.run_samples(&g, 20_000);
+            behavioral.train_samples(&g, 20_000);
             assert_eq!(
                 structural.q_table().as_slice(),
                 behavioral.q_table().as_slice(),
@@ -480,7 +480,7 @@ mod tests {
         let mut structural = StructuralQLearning::<Q8_8>::new(&g, cfg(5));
         let mut behavioral = AccelPipeline::<Q8_8>::new(&g, cfg(5), 0);
         structural.run_samples(&g, 25_000);
-        behavioral.run_samples(&g, 25_000);
+        behavioral.train_samples(&g, 25_000);
         assert_eq!(
             structural.q_table().as_slice(),
             behavioral.q_table().as_slice()

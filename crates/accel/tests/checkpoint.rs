@@ -275,7 +275,7 @@ fn lease_epoch_survives_the_checkpoint_round_trip() {
     let g = grid();
     let cfg = AccelConfig::default().with_seed(0x1EA5E);
     let mut a = qtaccel_accel::AccelPipeline::<Q8_8>::new(&g, cfg, 0);
-    a.run_samples(&g, 1_000);
+    a.train_samples(&g, 1_000);
     assert_eq!(a.lease_epoch(), 0, "non-cluster runs stay at epoch 0");
     a.set_lease_epoch(3);
     let path = tmp("epoch");

@@ -91,9 +91,9 @@ fn train<V: QValue, S: TraceSink>(
         p.enable_faults(fc);
     }
     if fast {
-        p.run_samples_fast(g, n);
+        p.train_samples_fast(g, n);
     } else {
-        p.run_samples(g, n);
+        p.train_samples(g, n);
     }
     outcome(&p)
 }
@@ -207,11 +207,11 @@ fn fast_path_is_bit_exact_exact_scan_and_policies() {
 fn assert_mixed_matches_pure<V: QValue>(g: &GridWorld, cfg: AccelConfig, label: &str) {
     let mut pure = AccelPipeline::<V>::new(g, cfg, 0);
     let mut mixed = AccelPipeline::<V>::new(g, cfg, 0);
-    pure.run_samples(g, 9_000);
-    mixed.run_samples(g, 2_000);
-    mixed.run_samples_fast(g, 3_000);
-    mixed.run_samples(g, 1_000);
-    mixed.run_samples_fast(g, 3_000);
+    pure.train_samples(g, 9_000);
+    mixed.train_samples(g, 2_000);
+    mixed.train_samples_fast(g, 3_000);
+    mixed.train_samples(g, 1_000);
+    mixed.train_samples_fast(g, 3_000);
     assert_eq!(outcome(&pure), outcome(&mixed), "{label}");
 }
 
@@ -240,9 +240,9 @@ fn fast_path_zero_samples_is_inert() {
     sarsa.trainer = TrainerConfig::sarsa(0.1);
     for cfg in [ql, sarsa] {
         let mut a = AccelPipeline::<Q8_8>::new(&g, cfg, 0);
-        a.run_samples(&g, 500);
+        a.train_samples(&g, 500);
         let before = outcome(&a);
-        a.run_samples_fast(&g, 0);
+        a.train_samples_fast(&g, 0);
         assert_eq!(before, outcome(&a));
     }
 }
@@ -277,7 +277,7 @@ fn independent_pipelines_fast_matches_slow() {
         let mut merged = CycleStats::default();
         for (i, env) in envs.iter().enumerate() {
             let mut bank = AccelPipeline::<Q8_8>::new(env, cfg, i as u64);
-            bank.run_samples(env, total / p + u64::from((i as u64) < total % p));
+            bank.train_samples(env, total / p + u64::from((i as u64) < total % p));
             assert_eq!(
                 bank.q_table(),
                 fast.q_table(i),
@@ -306,7 +306,7 @@ fn fast_path_matches_golden_reference() {
             g.clone(),
             TrainerConfig::q_learning().with_seed(seed),
         );
-        hw.run_samples_fast(&g, 20_000);
+        hw.train_samples_fast(&g, 20_000);
         sw.run_samples(20_000);
         assert_eq!(
             hw.q_table().as_slice(),

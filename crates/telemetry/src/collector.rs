@@ -28,9 +28,7 @@
 //! watchdog instant track — so a distributed batch reads like a single
 //! timeline at <https://ui.perfetto.dev>.
 
-use crate::export::{
-    encode_openmetrics, lock_unpoisoned, read_request_head, RequestHead, IO_TIMEOUT,
-};
+use crate::export::{encode_openmetrics, lock_unpoisoned, serve_scrape, IO_TIMEOUT};
 use crate::health::Alert;
 use crate::histogram::MetricsRegistry;
 use crate::json::Json;
@@ -411,7 +409,9 @@ fn serve_connection(
     if is_wire {
         serve_wire(stream, &state, &stop);
     } else {
-        serve_http(stream, &state);
+        serve_scrape(stream, || {
+            encode_openmetrics(&lock_unpoisoned(&state).scrape_registry())
+        });
     }
 }
 
@@ -463,35 +463,6 @@ fn serve_wire(mut stream: TcpStream, state: &Mutex<CollectorState>, stop: &Atomi
             Err(_) => return,
         }
     }
-}
-
-/// Answer one HTTP scrape with the merged registry, `MetricsServer`
-/// style (size cap → 431, deadline-bounded best effort otherwise).
-fn serve_http(mut stream: TcpStream, state: &Mutex<CollectorState>) {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let response = match read_request_head(&mut stream) {
-        RequestHead::TooLarge => {
-            let msg = "request head too large\n";
-            format!(
-                "HTTP/1.1 431 Request Header Fields Too Large\r\n\
-                 Content-Type: text/plain; charset=utf-8\r\n\
-                 Content-Length: {}\r\n\
-                 Connection: close\r\n\r\n{msg}",
-                msg.len()
-            )
-        }
-        RequestHead::Complete | RequestHead::Stalled => {
-            let body = encode_openmetrics(&lock_unpoisoned(state).scrape_registry());
-            format!(
-                "HTTP/1.1 200 OK\r\n\
-                 Content-Type: application/openmetrics-text; version=1.0.0; charset=utf-8\r\n\
-                 Content-Length: {}\r\n\
-                 Connection: close\r\n\r\n{body}",
-                body.len()
-            )
-        }
-    };
-    let _ = stream.write_all(response.as_bytes());
 }
 
 /// One endpoint of a framed wire session: a TCP connection framing

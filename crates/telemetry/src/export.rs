@@ -254,7 +254,7 @@ pub const IO_TIMEOUT: Duration = Duration::from_millis(500);
 pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// How draining one request head went.
-pub(crate) enum RequestHead {
+enum RequestHead {
     /// The blank line arrived: a complete (enough) HTTP request.
     Complete,
     /// The client streamed past [`MAX_REQUEST_BYTES`] without one.
@@ -263,9 +263,40 @@ pub(crate) enum RequestHead {
     Stalled,
 }
 
+/// Answer one scrape connection under the [`IO_TIMEOUT`] deadlines: an
+/// oversized request head gets `431`; a complete one gets `200` with the
+/// OpenMetrics document `render` produces, and so does a stalled one,
+/// best-effort — there is only one resource, and the write deadline
+/// bounds the time a dead peer can cost. Shared by [`MetricsServer`] and
+/// the collector's scrape side.
+pub(crate) fn serve_scrape(mut stream: TcpStream, render: impl FnOnce() -> String) {
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let (status, content_type, body) = match read_request_head(&mut stream) {
+        RequestHead::TooLarge => (
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            "request head too large\n".to_string(),
+        ),
+        RequestHead::Complete | RequestHead::Stalled => (
+            "200 OK",
+            "application/openmetrics-text; version=1.0.0; charset=utf-8",
+            render(),
+        ),
+    };
+    let response = format!(
+        "HTTP/1.1 {status}\r\n\
+         Content-Type: {content_type}\r\n\
+         Content-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let _ = stream.write_all(response.as_bytes());
+}
+
 /// Drain the request head until its terminating blank line, the size
 /// cap, or the socket deadline — whichever comes first.
-pub(crate) fn read_request_head(stream: &mut TcpStream) -> RequestHead {
+fn read_request_head(stream: &mut TcpStream) -> RequestHead {
     let mut head = Vec::with_capacity(256);
     let mut chunk = [0u8; 1024];
     loop {
@@ -303,36 +334,8 @@ impl MetricsServer {
                     if stop_thread.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(mut stream) = conn else { continue };
-                    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-                    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                    let response = match read_request_head(&mut stream) {
-                        RequestHead::TooLarge => {
-                            let msg = "request head too large\n";
-                            format!(
-                                "HTTP/1.1 431 Request Header Fields Too Large\r\n\
-                                 Content-Type: text/plain; charset=utf-8\r\n\
-                                 Content-Length: {}\r\n\
-                                 Connection: close\r\n\r\n{msg}",
-                                msg.len()
-                            )
-                        }
-                        // Complete requests get the document; so do
-                        // stalled ones, best-effort — there is only one
-                        // resource, and the write deadline bounds the
-                        // time a dead peer can cost.
-                        RequestHead::Complete | RequestHead::Stalled => {
-                            let body = encode_openmetrics(&lock_unpoisoned(&reg_thread));
-                            format!(
-                                "HTTP/1.1 200 OK\r\n\
-                                 Content-Type: application/openmetrics-text; version=1.0.0; charset=utf-8\r\n\
-                                 Content-Length: {}\r\n\
-                                 Connection: close\r\n\r\n{body}",
-                                body.len()
-                            )
-                        }
-                    };
-                    let _ = stream.write_all(response.as_bytes());
+                    let Ok(stream) = conn else { continue };
+                    serve_scrape(stream, || encode_openmetrics(&lock_unpoisoned(&reg_thread)));
                 }
             })?;
         Ok(Self {
@@ -774,35 +777,43 @@ mod tests {
     fn slow_and_oversized_clients_cannot_wedge_the_server() {
         let server = MetricsServer::serve("127.0.0.1:0").expect("bind ephemeral");
         server.update(|reg| reg.set_gauge("qtaccel_live", "live", 1.0));
+        // The collector's scrape side answers through the same responder.
+        let collector = crate::collector::Collector::serve("127.0.0.1:0").expect("bind ephemeral");
 
-        // A slow-loris client: partial request head, then silence. The
-        // read deadline abandons it within IO_TIMEOUT.
-        let mut loris = TcpStream::connect(server.addr()).expect("connect");
-        loris.write_all(b"GET /metrics HTTP/1.1\r\nHost: qt").expect("partial head");
+        for addr in [server.addr(), collector.addr()] {
+            // A slow-loris client: partial request head, then silence. The
+            // read deadline abandons it within IO_TIMEOUT.
+            let mut loris = TcpStream::connect(addr).expect("connect");
+            loris
+                .write_all(b"GET /metrics HTTP/1.1\r\nHost: qt")
+                .expect("partial head");
 
-        // A client streaming an unbounded "request": the size cap answers
-        // 431 instead of buffering it all.
-        let mut hog = TcpStream::connect(server.addr()).expect("connect");
-        hog.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let junk = [b'x'; 1024];
-        let mut sent = 0;
-        while sent <= MAX_REQUEST_BYTES {
-            hog.write_all(&junk).expect("stream junk");
-            sent += junk.len();
+            // A client streaming an unbounded "request": the size cap answers
+            // 431 instead of buffering it all.
+            let mut hog = TcpStream::connect(addr).expect("connect");
+            hog.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let junk = [b'x'; 1024];
+            let mut sent = 0;
+            while sent <= MAX_REQUEST_BYTES {
+                hog.write_all(&junk).expect("stream junk");
+                sent += junk.len();
+            }
+            let mut status = String::new();
+            hog.read_to_string(&mut status).expect("read 431");
+            assert!(
+                status.starts_with("HTTP/1.1 431 "),
+                "oversized head must be refused: {status:?}"
+            );
+
+            // Behind both of them, a well-behaved scraper is still served
+            // promptly (scrape's own 5 s deadline is the proof).
+            let body = scrape(addr).expect("scrape behind bad clients");
+            check_openmetrics(&body).expect("valid exposition");
+            if addr == server.addr() {
+                assert!(body.contains("qtaccel_live 1\n"));
+            }
+            drop(loris);
         }
-        let mut status = String::new();
-        hog.read_to_string(&mut status).expect("read 431");
-        assert!(
-            status.starts_with("HTTP/1.1 431 "),
-            "oversized head must be refused: {status:?}"
-        );
-
-        // Behind both of them, a well-behaved scraper is still served
-        // promptly (scrape's own 5 s deadline is the proof).
-        let body = scrape(server.addr()).expect("scrape behind bad clients");
-        check_openmetrics(&body).expect("valid exposition");
-        assert!(body.contains("qtaccel_live 1\n"));
-        drop(loris);
     }
 
     fn stall_stream() -> Vec<Event> {

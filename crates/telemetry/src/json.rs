@@ -2,7 +2,7 @@
 //!
 //! The workspace builds with zero external crates, so result persistence
 //! and telemetry traces use this emitter instead of serde; structs opt in
-//! with one [`impl_to_json!`] line. The emitter half moved here from
+//! with one [`impl_to_json!`](crate::impl_to_json) line. The emitter half moved here from
 //! `qtaccel-bench::report` (which re-exports it for compatibility) when
 //! the telemetry layer gained sinks that *write* JSON; the parser half is
 //! new, added so run manifests and JSONL event traces can be round-trip
@@ -144,7 +144,7 @@ fn write_json_string(out: &mut String, s: &str) {
 }
 
 /// Conversion into the [`Json`] tree. Derived for experiment structs by
-/// [`impl_to_json!`].
+/// [`impl_to_json!`](crate::impl_to_json).
 pub trait ToJson {
     /// The JSON representation of `self`.
     fn to_json(&self) -> Json;

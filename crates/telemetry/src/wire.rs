@@ -75,9 +75,8 @@ pub const HEADER_WORDS: usize = 6;
 pub const MAX_PAYLOAD_WORDS: u64 = 1 << 20;
 
 /// CRC-32/ISO-HDLC (the zlib/PNG polynomial, reflected), one nibble per
-/// table step — the same algorithm and table as the checkpoint
-/// container, reimplemented here because `qtaccel-accel` depends on
-/// this crate, not the other way around.
+/// table step — small table, no dependency. Seals every wire frame and,
+/// through `qtaccel_accel::checkpoint::crc32`, every checkpoint.
 pub fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 16] = [
         0x0000_0000,
@@ -860,6 +859,7 @@ mod tests {
     #[test]
     fn crc_matches_the_container_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "CRC-32/ISO-HDLC");
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline build, tests, lints (one clippy gate
-# over every workspace member's targets), the telemetry
+# over every workspace member's targets, and a warnings-denied rustdoc
+# build that fails on broken intra-doc links), the telemetry
 # zero-cost equivalence suite, the metrics-service suite plus a live
 # scrape smoke test, the fault-tolerance suites (SEU injection,
 # checkpoint/restore) with the self-gating protection-ladder campaign
@@ -115,6 +116,9 @@ gate 600 "distributed training-cluster suite (release)" \
 
 gate 900 "cargo clippy (offline, deny warnings)" \
   cargo clippy --offline --workspace --all-targets -- -D warnings
+
+gate 600 "cargo doc (offline, deny warnings: broken intra-doc links)" \
+  env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --keep-going
 
 gate 600 "bench_throughput --quick --check-baseline" \
   cargo run --release --offline -p qtaccel-bench --bin bench_throughput -- --quick --check-baseline
