@@ -23,6 +23,7 @@
 //!   `mab_bandits` experiment can show the gap.
 
 use crate::config::AccelConfig;
+use crate::pipeline::FILL;
 use crate::resources::{analyze, AccelResources, EngineKind};
 use qtaccel_core::bandit::{BanditAlgorithm, Exp3};
 use qtaccel_core::trainer::seed_unit;
@@ -31,8 +32,6 @@ use qtaccel_fixed::QValue;
 use qtaccel_hdl::lfsr::Lfsr32;
 use qtaccel_hdl::pipeline::CycleStats;
 use qtaccel_hdl::rng::{epsilon_greedy_draw, epsilon_to_q32, SeedSequence};
-
-const FILL: u64 = 3;
 
 /// Arm-selection policy for the bandit engine.
 #[derive(Debug, Clone, Copy, PartialEq)]

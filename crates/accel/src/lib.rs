@@ -14,13 +14,18 @@
 //!   the front end instead — the `ablation_forwarding` experiment), and
 //!   [`HazardMode::Ignore`] (no interlock at all: stale operands, wrong
 //!   values — demonstrates that the dependency handling is *necessary*).
-//!   Beside the cycle-accurate engine sits a bit-exact fast path
-//!   ([`AccelPipeline::train_samples_fast`]): one window-register sample
-//!   loop, generic over the stored-word codec (full-width, or q4/q6/q8
-//!   with the stochastic writeback rounder), for the paper's
-//!   `Forwarding` + Qmax-array configuration, and a general windowed
-//!   executor for every other configuration and for counter and health
-//!   sinks. Event sinks run on the cycle-accurate engine.
+//!   The stage sequence is written once, generic over two in-flight-write
+//!   models: the delayed-commit model (pending queues and an O(1)
+//!   forwarding index) is the cycle-accurate reference, the only one
+//!   that emits events and takes fault strikes; the immediate-commit
+//!   model (a four-entry write ring) is the general executor. The
+//!   bit-exact fast path [`AccelPipeline::train_samples_fast`] routes
+//!   each call: to the window-register sample loop, generic over the
+//!   stored-word codec (full-width, or q4/q6/q8 with the stochastic
+//!   writeback rounder), whenever the config allows it (the paper's
+//!   `Forwarding` + Qmax-array configuration, uninstrumented, no
+//!   faults); else to the delayed-commit model for event sinks or a
+//!   fault runtime; else to the immediate-commit model.
 //! * [`qlearning`] / [`sarsa`] — the two §V presets of the one
 //!   [`AccelPipeline`] engine: constructors that fix the policy units
 //!   for Q-Learning (random behaviour, greedy update via the Qmax array)

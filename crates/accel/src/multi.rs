@@ -19,7 +19,7 @@ use crate::checkpoint::{self, CheckpointError};
 use crate::config::{AccelConfig, HazardMode};
 use crate::executor::{chunk_samples, ShardJob, ShardedExecutor};
 use crate::fault::FaultConfig;
-use crate::pipeline::AccelPipeline;
+use crate::pipeline::{AccelPipeline, FILL, WRITE_OFFSET};
 use crate::resources::{analyze, resource_report, AccelResources, EngineKind};
 use qtaccel_core::policy::Policy;
 use qtaccel_core::qtable::{MaxMode, QTable, QmaxTable};
@@ -32,9 +32,6 @@ use qtaccel_hdl::rng::{epsilon_greedy_draw, epsilon_to_q32, RngSource, SeedSeque
 use qtaccel_telemetry::{
     ActiveSpan, CounterBank, CounterId, NullSink, SpanContext, SpanTracer, TraceSink,
 };
-
-const WRITE_OFFSET: u64 = 3;
-const FILL: u64 = 3;
 
 #[derive(Debug, Clone, Copy)]
 struct Pending<T> {

@@ -24,22 +24,39 @@
 //! every read consults the queue of in-flight (pending) writes and the
 //! youngest matching value bypasses the BRAM. The model implements all
 //! three hazard policies of [`HazardMode`] over an explicitly *delayed*
-//! memory image — `q_mem` holds only committed writes, and the pending
-//! queue carries (commit-cycle, address, value) triples — so stale reads
-//! in `Ignore` mode are real stale values, not emulation shortcuts.
+//! memory image — each BRAM's image holds only committed writes, and its
+//! pending queue carries (commit-cycle, address, value) triples — so
+//! stale reads in `Ignore` mode are real stale values, not emulation
+//! shortcuts.
+//!
+//! ## One stage body, two write models
+//!
+//! The stage sequence above — policy units, row max, the Q and Qmax
+//! read paths, Eq. (3), the Qmax read-modify-write, the accounting — is
+//! written once, generic over how a write travels from stage 4 into a
+//! BRAM image:
+//!
+//! - the **delayed-commit model** (`Delayed`) keeps writes in the pending
+//!   queues until their commit cycle. It is the cycle-accurate reference
+//!   behind [`AccelPipeline::step`] and
+//!   [`train_samples`](AccelPipeline::train_samples), and the only model
+//!   that emits events and takes fault strikes.
+//! - the **immediate-commit model** (`Ring`) lands writes in the image at
+//!   issue and keeps a four-entry window of write history for the
+//!   forward counts and stall delays (in `Ignore` mode the window holds
+//!   the real delayed writes). [`AccelPipeline::train_samples_fast`]
+//!   runs it for configurations its window-register loop cannot take.
 //!
 //! ## Host-side cost of the forwarding network
 //!
 //! The queues are drained once per step (the per-step commit point at the
-//! top of [`AccelPipeline::step`]) instead of before every read, and each
-//! read resolves its newest in-flight writer through `FwdIndex` — an
-//! O(1) direct-mapped last-writer map — instead of a linear queue scan.
-//! Reads that race a write committing mid-step compare the entry's commit
+//! top of the stage body) instead of before every read, and each read
+//! resolves its newest in-flight writer through `FwdIndex` — an O(1)
+//! direct-mapped last-writer map — instead of a linear queue scan. Reads
+//! that race a write committing mid-step compare the entry's commit
 //! cycle against the read cycle, so cycle/stall/forward/bubble counters
 //! are bit-identical to the scan-per-read formulation (pinned by the
-//! `hazard_mode_cycle_stats_are_pinned` regression test). This is the
-//! cycle-accurate engine; [`AccelPipeline::train_samples_fast`] is the
-//! bit-exact fast path that skips the per-cycle bookkeeping entirely.
+//! `hazard_mode_cycle_stats_are_pinned` regression test).
 
 use std::collections::VecDeque;
 use std::path::Path;
@@ -58,9 +75,9 @@ use qtaccel_hdl::rng::{epsilon_greedy_draw, epsilon_to_q32, RngSource, SeedSeque
 use qtaccel_telemetry::{CounterBank, CounterId, Event, MemKind, NullSink, TraceSink};
 
 /// Stage-4 offset from stage 1.
-const WRITE_OFFSET: u64 = 3;
+pub(crate) const WRITE_OFFSET: u64 = 3;
 /// Pipeline fill depth (cycles before the first retirement).
-const FILL: u64 = 3;
+pub(crate) const FILL: u64 = 3;
 
 /// A write travelling down the pipe, not yet visible in the BRAM image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,15 +173,16 @@ impl<T: Copy> FwdIndex<T> {
     }
 }
 
-/// Capacity of the fast path's in-flight write window. Writes land
-/// `WRITE_OFFSET` cycles after issue and stage-1 cycles advance by at
-/// least one per sample, so at most `WRITE_OFFSET + 1` writes can be
-/// in flight around any read — the hardware's forwarding window.
+/// Capacity of the immediate-commit model's in-flight write window.
+/// Writes land `WRITE_OFFSET` cycles after issue and stage-1 cycles
+/// advance by at least one per sample, so at most `WRITE_OFFSET + 1`
+/// writes can be in flight around any read — the hardware's forwarding
+/// window.
 const FAST_RING: usize = 4;
 
-/// Fixed-capacity ordered window of the most recent writes, the fast
-/// path's replacement for a pending queue: no allocation, no per-cycle
-/// draining, at most [`FAST_RING`] entries scanned per lookup.
+/// Fixed-capacity ordered window of the most recent writes, the
+/// immediate-commit model's replacement for a pending queue: no
+/// allocation, at most [`FAST_RING`] entries scanned per lookup.
 #[derive(Debug, Clone)]
 struct WriteRing<T> {
     buf: [Option<Pending<T>>; FAST_RING],
@@ -173,18 +191,42 @@ struct WriteRing<T> {
 }
 
 impl<T: Copy> WriteRing<T> {
-    fn new() -> Self {
-        Self {
+    /// Entry protocol: take over `port`'s in-flight writes. When writes
+    /// commit at issue their values land in the image right away (the
+    /// image is then the newest view); otherwise they stay in flight.
+    fn enter(port: &mut Port<T>, commit_at_issue: bool) -> Self {
+        let mut ring = Self {
             buf: [None; FAST_RING],
             head: 0,
             len: 0,
+        };
+        while let Some(p) = port.pending.pop_front() {
+            if commit_at_issue {
+                port.image[p.addr] = p.value;
+            }
+            ring.push(p);
+        }
+        port.fwd.clear();
+        ring
+    }
+
+    /// Exit protocol: hand the writes a following cycle-accurate run can
+    /// still observe back to `port`'s queue. When writes committed at
+    /// issue only those in flight relative to the next stage-1 cycle
+    /// matter (older history is already architecturally committed);
+    /// otherwise every entry is a real uncommitted write.
+    fn exit(&self, port: &mut Port<T>, commit_at_issue: bool, next_c1: u64) {
+        for p in self.iter() {
+            if !commit_at_issue || p.commit_cycle >= next_c1 {
+                port.push(p);
+            }
         }
     }
 
     /// Append the newest write, evicting the oldest when full. Eviction
     /// is only legal when the ring mirrors writes already materialized
-    /// in memory (the immediate-commit modes); the delayed-commit user
-    /// never fills past capacity by the in-flight bound above.
+    /// in the image (commit at issue); the delayed user never fills past
+    /// capacity by the in-flight bound above.
     #[inline(always)]
     fn push(&mut self, p: Pending<T>) {
         if self.len == FAST_RING {
@@ -195,29 +237,28 @@ impl<T: Copy> WriteRing<T> {
         self.len += 1;
     }
 
-    /// Commit cycle of the newest entry for `addr`, if any.
+    /// The newest entry for `addr`, if any.
     #[inline(always)]
-    fn newest_cc(&self, addr: usize) -> Option<u64> {
+    fn newest(&self, addr: usize) -> Option<Pending<T>> {
         for i in (0..self.len).rev() {
             if let Some(p) = self.buf[(self.head + i) % FAST_RING] {
                 if p.addr == addr {
-                    return Some(p.commit_cycle);
+                    return Some(p);
                 }
             }
         }
         None
     }
 
-    /// Apply every write due strictly before `cycle` to `mem`, oldest
-    /// first (the delayed-commit drain).
+    /// Pop every write due strictly before `cycle`, oldest first.
     #[inline(always)]
-    fn retire_due<M: FnMut(usize, T)>(&mut self, cycle: u64, mut apply: M) {
+    fn retire_due<F: FnMut(Pending<T>)>(&mut self, cycle: u64, mut retire: F) {
         while self.len > 0 {
             let p = self.buf[self.head].expect("ring slot within len");
             if p.commit_cycle >= cycle {
                 break;
             }
-            apply(p.addr, p.value);
+            retire(p);
             self.buf[self.head] = None;
             self.head = (self.head + 1) % FAST_RING;
             self.len -= 1;
@@ -227,6 +268,285 @@ impl<T: Copy> WriteRing<T> {
     /// Entries oldest → newest.
     fn iter(&self) -> impl Iterator<Item = Pending<T>> + '_ {
         (0..self.len).filter_map(move |i| self.buf[(self.head + i) % FAST_RING])
+    }
+}
+
+/// One BRAM of the memory model: the committed image, the writes still
+/// in flight to it (the queue is the source of truth; the index is its
+/// O(1) newest-writer accelerator, kept in sync on push and retire), and
+/// the forwarding network's visibility horizon.
+///
+/// The BRAM controller retires every write due before the highest cycle
+/// it has serviced so far — notably the stage-4 read-modify-write at
+/// `c1 + 3`, which runs *ahead* of the next iteration's stage-1/2 reads.
+/// A write whose commit cycle falls below the horizon has left the pipe
+/// and is invisible to the forwarding network (no forward counted, no
+/// stall imposed) even for a read issued before its commit cycle.
+#[derive(Debug, Clone)]
+struct Port<T> {
+    image: Vec<T>,
+    pending: VecDeque<Pending<T>>,
+    fwd: FwdIndex<T>,
+    horizon: u64,
+}
+
+impl<T: Copy> Port<T> {
+    fn new(image: Vec<T>) -> Self {
+        Self {
+            image,
+            pending: VecDeque::new(),
+            fwd: FwdIndex::new(),
+            horizon: 0,
+        }
+    }
+
+    /// Queue an in-flight write.
+    #[inline(always)]
+    fn push(&mut self, p: Pending<T>) {
+        self.pending.push_back(p);
+        self.fwd.push(p);
+    }
+
+    /// The image with every in-flight write applied in order — what
+    /// reading back the BRAM after a drain would show.
+    fn drained(&self) -> Vec<T> {
+        let mut image = self.image.clone();
+        for p in &self.pending {
+            image[p.addr] = p.value;
+        }
+        image
+    }
+}
+
+/// The pipeline's two BRAMs.
+#[derive(Debug, Clone)]
+struct Memory<V> {
+    q: Port<V>,
+    qmax: Port<(V, Action)>,
+}
+
+/// Selects one of the two BRAMs, so each read and commit path is written
+/// once over the word type: `V` Q words at `s·|A| + a`, `(V, Action)`
+/// Qmax words at `s`.
+trait Mem<V> {
+    type Word: Copy;
+    const KIND: MemKind;
+    const READS: CounterId;
+    const FWD_HIT: CounterId;
+    fn port(mem: &mut Memory<V>) -> &mut Port<Self::Word>;
+    fn ring(ring: &mut Ring<V>) -> &mut WriteRing<Self::Word>;
+    /// Checkpoint encoding of one word.
+    fn save(word: Self::Word, w: &mut WordWriter);
+    fn load(r: &mut WordReader) -> Result<Self::Word, CheckpointError>;
+}
+
+/// Checkpoint a port's in-flight write queue.
+fn save_queue<V, M: Mem<V>>(port: &Port<M::Word>, w: &mut WordWriter) {
+    w.push(port.pending.len() as u64);
+    for p in &port.pending {
+        w.push(p.commit_cycle);
+        w.push(p.addr as u64);
+        M::save(p.value, w);
+    }
+}
+
+/// Restore a queue written by [`save_queue`] into `port`.
+fn load_queue<V, M: Mem<V>>(
+    port: &mut Port<M::Word>,
+    r: &mut WordReader,
+) -> Result<(), CheckpointError> {
+    for _ in 0..r.next()? {
+        let (commit_cycle, addr) = (r.next()?, r.next()? as usize);
+        let value = M::load(r)?;
+        port.push(Pending {
+            commit_cycle,
+            addr,
+            value,
+        });
+    }
+    Ok(())
+}
+
+/// The Q BRAM.
+enum QMem {}
+
+/// The Qmax BRAM.
+enum QmaxMem {}
+
+impl<V: QValue> Mem<V> for QMem {
+    type Word = V;
+    const KIND: MemKind = MemKind::Q;
+    const READS: CounterId = CounterId::QReads;
+    const FWD_HIT: CounterId = CounterId::FwdQHit;
+    #[inline(always)]
+    fn port(mem: &mut Memory<V>) -> &mut Port<V> {
+        &mut mem.q
+    }
+    #[inline(always)]
+    fn ring(ring: &mut Ring<V>) -> &mut WriteRing<V> {
+        &mut ring.q
+    }
+    fn save(v: V, w: &mut WordWriter) {
+        w.push(v.to_bits());
+    }
+    fn load(r: &mut WordReader) -> Result<V, CheckpointError> {
+        Ok(V::from_bits(r.next()?))
+    }
+}
+
+impl<V: QValue> Mem<V> for QmaxMem {
+    type Word = (V, Action);
+    const KIND: MemKind = MemKind::Qmax;
+    const READS: CounterId = CounterId::QmaxReads;
+    const FWD_HIT: CounterId = CounterId::FwdQmaxHit;
+    #[inline(always)]
+    fn port(mem: &mut Memory<V>) -> &mut Port<(V, Action)> {
+        &mut mem.qmax
+    }
+    #[inline(always)]
+    fn ring(ring: &mut Ring<V>) -> &mut WriteRing<(V, Action)> {
+        &mut ring.qmax
+    }
+    fn save((v, a): (V, Action), w: &mut WordWriter) {
+        w.push(v.to_bits());
+        w.push(a as u64);
+    }
+    fn load(r: &mut WordReader) -> Result<(V, Action), CheckpointError> {
+        Ok((V::from_bits(r.next()?), r.next()? as Action))
+    }
+}
+
+/// How writes travel from stage 4 into a BRAM image. The stage body
+/// ([`AccelPipeline::stage`]) is written once over this; there are
+/// exactly two models, [`Delayed`] and [`Ring`].
+trait WriteModel<V: QValue> {
+    /// The cycle-accurate reference: the only model that emits events
+    /// and takes the fault hook (a strike's fate depends on which writes
+    /// are still uncommitted).
+    const REFERENCE: bool;
+    /// The newest in-flight write to `addr` of BRAM `M`.
+    fn newest<M: Mem<V>>(&mut self, port: &Port<M::Word>, addr: usize) -> Option<Pending<M::Word>>;
+    /// Issue a stage-4 write.
+    fn write<M: Mem<V>>(&mut self, port: &mut Port<M::Word>, p: Pending<M::Word>);
+    /// Commit every write due strictly before `cycle`, oldest first,
+    /// showing each to `on_commit`.
+    fn retire<M: Mem<V>, F: FnMut(&Pending<M::Word>)>(
+        &mut self,
+        port: &mut Port<M::Word>,
+        cycle: u64,
+        on_commit: F,
+    );
+}
+
+/// The delayed-commit model, the cycle-accurate reference: writes wait
+/// in the ports' pending queues until their commit cycle, and reads
+/// resolve in-flight writers through the O(1) [`FwdIndex`].
+struct Delayed;
+
+impl<V: QValue> WriteModel<V> for Delayed {
+    const REFERENCE: bool = true;
+
+    /// O(1) index hit or miss; a linear queue scan only under slot
+    /// aliasing.
+    #[inline(always)]
+    fn newest<M: Mem<V>>(&mut self, port: &Port<M::Word>, addr: usize) -> Option<Pending<M::Word>> {
+        match port.fwd.newest(addr) {
+            FwdHit::Miss => None,
+            FwdHit::Newest(p) => Some(p),
+            FwdHit::Aliased => port.pending.iter().rev().find(|p| p.addr == addr).copied(),
+        }
+    }
+
+    #[inline(always)]
+    fn write<M: Mem<V>>(&mut self, port: &mut Port<M::Word>, p: Pending<M::Word>) {
+        port.push(p);
+    }
+
+    #[inline(always)]
+    fn retire<M: Mem<V>, F: FnMut(&Pending<M::Word>)>(
+        &mut self,
+        port: &mut Port<M::Word>,
+        cycle: u64,
+        mut on_commit: F,
+    ) {
+        while let Some(&p) = port.pending.front() {
+            if p.commit_cycle >= cycle {
+                break;
+            }
+            on_commit(&p);
+            port.image[p.addr] = p.value;
+            port.fwd.retire(p.addr);
+            port.pending.pop_front();
+        }
+    }
+}
+
+/// The immediate-commit model. In `Forwarding` and `StallOnly` modes
+/// every read returns the *newest* write to its address (through the
+/// forwarding network, or because the front end stalled until the write
+/// landed), so writes land in the image at issue and a [`FAST_RING`]
+/// window of write history only reproduces the forward counts and stall
+/// delays. `Ignore` mode is the one place stale values are
+/// architecturally visible, so there the ring carries the real delayed
+/// writes. Allocation-free, O(1) per access, and usually faster than
+/// [`Delayed`].
+struct Ring<V> {
+    q: WriteRing<V>,
+    qmax: WriteRing<(V, Action)>,
+    commit_at_issue: bool,
+}
+
+impl<V: QValue> Ring<V> {
+    /// Take over both BRAMs' in-flight writes ([`WriteRing::enter`]).
+    fn enter(mem: &mut Memory<V>, commit_at_issue: bool) -> Self {
+        Self {
+            q: WriteRing::enter(&mut mem.q, commit_at_issue),
+            qmax: WriteRing::enter(&mut mem.qmax, commit_at_issue),
+            commit_at_issue,
+        }
+    }
+
+    /// Hand both BRAMs' observable writes back ([`WriteRing::exit`]).
+    fn exit(&self, mem: &mut Memory<V>, next_c1: u64) {
+        self.q.exit(&mut mem.q, self.commit_at_issue, next_c1);
+        self.qmax.exit(&mut mem.qmax, self.commit_at_issue, next_c1);
+    }
+}
+
+impl<V: QValue> WriteModel<V> for Ring<V> {
+    const REFERENCE: bool = false;
+
+    #[inline(always)]
+    fn newest<M: Mem<V>>(&mut self, _: &Port<M::Word>, addr: usize) -> Option<Pending<M::Word>> {
+        M::ring(self).newest(addr)
+    }
+
+    #[inline(always)]
+    fn write<M: Mem<V>>(&mut self, port: &mut Port<M::Word>, p: Pending<M::Word>) {
+        if self.commit_at_issue {
+            port.image[p.addr] = p.value;
+        }
+        debug_assert!(
+            self.commit_at_issue || M::ring(self).len < FAST_RING,
+            "in-flight window overflow"
+        );
+        M::ring(self).push(p);
+    }
+
+    #[inline(always)]
+    fn retire<M: Mem<V>, F: FnMut(&Pending<M::Word>)>(
+        &mut self,
+        port: &mut Port<M::Word>,
+        cycle: u64,
+        mut on_commit: F,
+    ) {
+        let commit_at_issue = self.commit_at_issue;
+        M::ring(self).retire_due(cycle, |p| {
+            on_commit(&p);
+            if !commit_at_issue {
+                port.image[p.addr] = p.value;
+            }
+        });
     }
 }
 
@@ -472,16 +792,18 @@ impl<V: QValue> WindowCodec<V> for Quantized<V> {
     }
 }
 
-/// The pipeline core shared by the Q-Learning and SARSA engines (and, in
-/// pairs, by the dual-pipeline configuration).
+/// The Q-table pipeline core: one engine for Q-Learning, SARSA and every
+/// other policy pairing its [`TrainerConfig`](qtaccel_core::trainer::TrainerConfig)
+/// picks.
 ///
 /// Generic over a [`TraceSink`] chosen at compile time. With the default
 /// [`NullSink`] every instrumentation site monomorphizes away and the
-/// specialized fast executors stay engaged — zero cost when telemetry is
-/// off. An instrumented sink maintains the [`CounterBank`] (and, for
-/// event-bearing sinks, receives cycle-stamped [`Event`]s from the
-/// cycle-accurate engine; the fast path mirrors the counters but emits no
-/// events — see [`train_samples_fast`](Self::train_samples_fast)).
+/// window-register loop stays engaged — zero cost when telemetry is off.
+/// An instrumented sink maintains the [`CounterBank`] under every
+/// executor. Event-bearing sinks receive cycle-stamped [`Event`]s, which
+/// only the cycle-accurate engine emits, so
+/// [`train_samples_fast`](Self::train_samples_fast) runs that engine for
+/// them.
 #[derive(Debug, Clone)]
 pub struct AccelPipeline<V, S: TraceSink = NullSink> {
     num_states: usize,
@@ -498,9 +820,9 @@ pub struct AccelPipeline<V, S: TraceSink = NullSink> {
     start_rng: Lfsr32,
     behavior_rng: Lfsr32,
     update_rng: Lfsr32,
-    // Committed memory images (the BRAM contents).
-    q_mem: Vec<V>,
-    qmax_mem: Vec<(V, Action)>,
+    // The Q and Qmax BRAMs: committed images, in-flight writes and
+    // forwarding-network visibility horizons.
+    mem: Memory<V>,
     rewards: RewardTable<V>,
     // Images of the two window codecs, built on first use (see
     // `run_window`) and invalidated whenever the rewards or the
@@ -509,21 +831,6 @@ pub struct AccelPipeline<V, S: TraceSink = NullSink> {
     // of immutable environment data — never checkpointed.
     fast_image: Option<FullWidth<V>>,
     packed_image: Option<PackedImage<V>>,
-    // In-flight writes (queues are the source of truth; the indices are
-    // O(1) newest-writer accelerators kept in sync on push/retire).
-    pending_q: VecDeque<Pending<V>>,
-    pending_qmax: VecDeque<Pending<(V, Action)>>,
-    fwd_q: FwdIndex<V>,
-    fwd_qmax: FwdIndex<(V, Action)>,
-    // Forwarding-network visibility horizons. The BRAM controller
-    // retires every write due before the highest cycle it has serviced
-    // so far — notably the stage-4 read-modify-write at `c1 + 3`, which
-    // runs *ahead* of the next iteration's stage-1/2 reads. A write
-    // whose commit cycle falls below the horizon has left the pipe and
-    // is invisible to the forwarding network (no forward counted, no
-    // stall imposed) even for a read issued before its commit cycle.
-    drain_horizon_q: u64,
-    drain_horizon_qmax: u64,
     // Inter-iteration carry: (state, forwarded on-policy action).
     carry: Option<(State, Option<Action>)>,
     next_c1: u64,
@@ -574,9 +881,8 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         // Qmax BRAM init file: random greedy-action fields (see
         // QmaxTable::randomize_actions for why this is required).
         let mut qmax_mem = vec![(V::zero(), 0 as Action); s];
-        let mut init_rng = Lfsr32::new(
-            seeds.derive(seed_unit::of(pipeline_index, seed_unit::QMAX_INIT)),
-        );
+        let mut init_rng =
+            Lfsr32::new(seeds.derive(seed_unit::of(pipeline_index, seed_unit::QMAX_INIT)));
         for e in &mut qmax_mem {
             e.1 = init_rng.below(a as u32);
         }
@@ -608,20 +914,14 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             behavior_rng: Lfsr32::new(
                 seeds.derive(seed_unit::of(pipeline_index, seed_unit::BEHAVIOR)),
             ),
-            update_rng: Lfsr32::new(
-                seeds.derive(seed_unit::of(pipeline_index, seed_unit::UPDATE)),
-            ),
-            q_mem: vec![V::zero(); s * a],
-            qmax_mem,
+            update_rng: Lfsr32::new(seeds.derive(seed_unit::of(pipeline_index, seed_unit::UPDATE))),
+            mem: Memory {
+                q: Port::new(vec![V::zero(); s * a]),
+                qmax: Port::new(qmax_mem),
+            },
             rewards: RewardTable::from_env(env),
             fast_image: None,
             packed_image: None,
-            pending_q: VecDeque::new(),
-            pending_qmax: VecDeque::new(),
-            fwd_q: FwdIndex::new(),
-            fwd_qmax: FwdIndex::new(),
-            drain_horizon_q: 0,
-            drain_horizon_qmax: 0,
             carry: None,
             next_c1: 0,
             stats: CycleStats {
@@ -645,27 +945,22 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// Must be called before training starts (mid-run adoption happens
     /// only through checkpoint restore).
     pub fn enable_quant(&mut self, policy: QuantPolicy) {
-        assert_eq!(
-            self.stats.samples, 0,
-            "enable_quant before training starts"
-        );
+        assert_eq!(self.stats.samples, 0, "enable_quant before training starts");
         policy.validate_for::<V>();
         self.rewards.map_values(|v| policy.round_nearest(v));
         // Re-encode the (still initial) memory images onto the grid so
         // the on-grid invariant holds from the first sample.
-        for v in &mut self.q_mem {
+        for v in &mut self.mem.q.image {
             *v = policy.round_nearest(*v);
         }
-        for e in &mut self.qmax_mem {
+        for e in &mut self.mem.qmax.image {
             e.0 = policy.round_nearest(e.0);
         }
         // Derived caches embed rewards / Q codes: rebuild on next use.
         self.fast_image = None;
         self.packed_image = None;
         let seeds = SeedSequence::new(self.config.trainer.seed);
-        let rng = Lfsr32::new(
-            seeds.derive(seed_unit::of(self.pipeline_index, seed_unit::QUANT)),
-        );
+        let rng = Lfsr32::new(seeds.derive(seed_unit::of(self.pipeline_index, seed_unit::QUANT)));
         self.quant = Some(QuantRt { policy, rng });
     }
 
@@ -746,232 +1041,103 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
     // ---- memory model -------------------------------------------------
 
-    fn commit_q_until(&mut self, cycle: u64) {
-        while let Some(p) = self.pending_q.front() {
-            if p.commit_cycle < cycle {
-                if S::EVENTS {
-                    self.sink.record(&Event::Commit {
-                        cycle: p.commit_cycle,
-                        mem: MemKind::Q,
-                        addr: p.addr as u64,
-                    });
-                }
-                self.q_mem[p.addr] = p.value;
-                self.fwd_q.retire(p.addr);
-                self.pending_q.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn commit_qmax_until(&mut self, cycle: u64) {
-        while let Some(p) = self.pending_qmax.front() {
-            if p.commit_cycle < cycle {
-                if S::EVENTS {
-                    self.sink.record(&Event::Commit {
-                        cycle: p.commit_cycle,
-                        mem: MemKind::Qmax,
-                        addr: p.addr as u64,
-                    });
-                }
-                self.qmax_mem[p.addr] = p.value;
-                self.fwd_qmax.retire(p.addr);
-                self.pending_qmax.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Newest in-flight Q write to `idx`: O(1) index hit or miss, linear
-    /// queue scan only under slot aliasing.
+    /// Commit BRAM `M`'s writes due strictly before `cycle` under model
+    /// `W`.
     #[inline(always)]
-    fn newest_q(&self, idx: usize) -> Option<Pending<V>> {
-        match self.fwd_q.newest(idx) {
-            FwdHit::Miss => None,
-            FwdHit::Newest(p) => Some(p),
-            FwdHit::Aliased => self.pending_q.iter().rev().find(|p| p.addr == idx).copied(),
-        }
+    fn retire<M: Mem<V>, W: WriteModel<V>>(&mut self, w: &mut W, cycle: u64) {
+        let sink = &mut self.sink;
+        w.retire::<M, _>(M::port(&mut self.mem), cycle, |p| {
+            if S::EVENTS && W::REFERENCE {
+                sink.record(&Event::Commit {
+                    cycle: p.commit_cycle,
+                    mem: M::KIND,
+                    addr: p.addr as u64,
+                });
+            }
+        });
     }
 
-    /// Newest in-flight Qmax write to `idx`.
-    #[inline(always)]
-    fn newest_qmax(&self, idx: usize) -> Option<Pending<(V, Action)>> {
-        match self.fwd_qmax.newest(idx) {
-            FwdHit::Miss => None,
-            FwdHit::Newest(p) => Some(p),
-            FwdHit::Aliased => self
-                .pending_qmax
-                .iter()
-                .rev()
-                .find(|p| p.addr == idx)
-                .copied(),
-        }
-    }
-
-    /// Read Q(s, a) as issued at `cycle`. Returns the operand value and
-    /// the stall delay this read imposes (nonzero only in stall-only
-    /// mode).
+    /// Read BRAM `M` at `idx` as issued at `cycle`. Returns the operand
+    /// value and the stall delay this read imposes (nonzero only in
+    /// stall-only mode).
     ///
-    /// Queues are only drained up to the step's `c1`, so an in-flight
-    /// entry whose commit cycle already passed is *logically* committed:
-    /// its value equals the BRAM word the drain-per-read formulation
-    /// would read, it merely has not been folded into `q_mem` yet. The
-    /// visibility-horizon comparison below keeps forwarding counts and
-    /// stall delays identical to physically draining at every service
-    /// point: an entry still forwards (or stalls the front end) only
-    /// while its commit cycle is at or above the highest cycle the
-    /// memory controller has serviced.
-    fn read_q(&mut self, s: State, a: Action, cycle: u64) -> (V, u64) {
-        let idx = sa_index(s, a, self.num_actions);
+    /// The delayed-commit model drains its queues only up to the step's
+    /// `c1`, so an in-flight entry whose commit cycle already passed is
+    /// *logically* committed: its value equals the BRAM word the
+    /// drain-per-read formulation would read, it merely has not been
+    /// folded into the image yet. The visibility-horizon comparison below
+    /// keeps forwarding counts and stall delays identical to physically
+    /// draining at every service point: an entry still forwards (or
+    /// stalls the front end) only while its commit cycle is at or above
+    /// the highest cycle the memory controller has serviced.
+    #[inline(always)]
+    fn read<M: Mem<V>, W: WriteModel<V>>(
+        &mut self,
+        w: &mut W,
+        idx: usize,
+        cycle: u64,
+    ) -> (M::Word, u64) {
         if S::COUNTERS {
-            self.counters.inc(CounterId::QReads);
+            self.counters.inc(M::READS);
         }
-        match self.config.hazard {
-            HazardMode::Forwarding => {
-                let h = self.drain_horizon_q.max(cycle);
-                self.drain_horizon_q = h;
-                match self.newest_q(idx) {
-                    Some(p) => {
-                        if p.commit_cycle >= h {
-                            self.stats.forwards += 1;
-                            if S::COUNTERS {
-                                self.counters.inc(CounterId::FwdQHit);
-                            }
-                            if S::EVENTS {
-                                self.sink.record(&Event::Hazard {
-                                    cycle,
-                                    mem: MemKind::Q,
-                                    addr: idx as u64,
-                                });
-                                self.sink.record(&Event::Forward {
-                                    cycle,
-                                    mem: MemKind::Q,
-                                    addr: idx as u64,
-                                });
-                            }
-                        } else if S::COUNTERS {
-                            self.counters.inc(CounterId::FwdMiss);
-                        }
-                        (p.value, 0)
-                    }
-                    None => {
-                        if S::COUNTERS {
-                            self.counters.inc(CounterId::FwdMiss);
-                        }
-                        (self.q_mem[idx], 0)
-                    }
+        let hazard = self.config.hazard;
+        if hazard == HazardMode::Ignore {
+            // The stale-BRAM image must be materialized at the read
+            // cycle (mid-step commits are architecturally visible here).
+            // Amortized O(1): the per-step commit point has already
+            // caught the writes up to c1.
+            self.retire::<M, W>(w, cycle);
+            return (M::port(&mut self.mem).image[idx], 0);
+        }
+        let port = M::port(&mut self.mem);
+        let h = port.horizon.max(cycle);
+        port.horizon = h;
+        let newest = w.newest::<M>(port, idx);
+        let value = newest.map_or(port.image[idx], |p| p.value);
+        let events = S::EVENTS && W::REFERENCE;
+        let addr = idx as u64;
+        match newest {
+            Some(p) if p.commit_cycle >= h => {
+                if events {
+                    self.sink.record(&Event::Hazard {
+                        cycle,
+                        mem: M::KIND,
+                        addr,
+                    });
                 }
-            }
-            HazardMode::Ignore => {
-                // The stale-BRAM image must be materialized at the read
-                // cycle (mid-step commits are architecturally visible
-                // here). Amortized O(1): the per-step commit point has
-                // already caught the queue up to c1.
-                self.commit_q_until(cycle);
-                (self.q_mem[idx], 0)
-            }
-            HazardMode::StallOnly => {
-                let h = self.drain_horizon_q.max(cycle);
-                self.drain_horizon_q = h;
-                match self.newest_q(idx) {
+                if hazard == HazardMode::Forwarding {
+                    self.stats.forwards += 1;
+                    if S::COUNTERS {
+                        self.counters.inc(M::FWD_HIT);
+                    }
+                    if events {
+                        self.sink.record(&Event::Forward {
+                            cycle,
+                            mem: M::KIND,
+                            addr,
+                        });
+                    }
+                    (value, 0)
+                } else {
                     // Hold the front end until the write commits, then
                     // the read returns the fresh value.
-                    Some(p) if p.commit_cycle >= h => {
-                        let d = p.commit_cycle + 1 - cycle;
-                        if S::EVENTS {
-                            self.sink.record(&Event::Hazard {
-                                cycle,
-                                mem: MemKind::Q,
-                                addr: idx as u64,
-                            });
-                            self.sink.record(&Event::StallBegin {
-                                cycle,
-                                mem: MemKind::Q,
-                                addr: idx as u64,
-                            });
-                            self.sink.record(&Event::StallEnd { cycle: cycle + d });
-                        }
-                        (p.value, d)
+                    let d = p.commit_cycle + 1 - cycle;
+                    if events {
+                        self.sink.record(&Event::StallBegin {
+                            cycle,
+                            mem: M::KIND,
+                            addr,
+                        });
+                        self.sink.record(&Event::StallEnd { cycle: cycle + d });
                     }
-                    Some(p) => (p.value, 0),
-                    None => (self.q_mem[idx], 0),
+                    (value, d)
                 }
             }
-        }
-    }
-
-    /// Read the Qmax entry for `s` as issued at `cycle`.
-    fn read_qmax(&mut self, s: State, cycle: u64) -> ((V, Action), u64) {
-        let idx = s as usize;
-        if S::COUNTERS {
-            self.counters.inc(CounterId::QmaxReads);
-        }
-        match self.config.hazard {
-            HazardMode::Forwarding => {
-                let h = self.drain_horizon_qmax.max(cycle);
-                self.drain_horizon_qmax = h;
-                match self.newest_qmax(idx) {
-                    Some(p) => {
-                        if p.commit_cycle >= h {
-                            self.stats.forwards += 1;
-                            if S::COUNTERS {
-                                self.counters.inc(CounterId::FwdQmaxHit);
-                            }
-                            if S::EVENTS {
-                                self.sink.record(&Event::Hazard {
-                                    cycle,
-                                    mem: MemKind::Qmax,
-                                    addr: idx as u64,
-                                });
-                                self.sink.record(&Event::Forward {
-                                    cycle,
-                                    mem: MemKind::Qmax,
-                                    addr: idx as u64,
-                                });
-                            }
-                        } else if S::COUNTERS {
-                            self.counters.inc(CounterId::FwdMiss);
-                        }
-                        (p.value, 0)
-                    }
-                    None => {
-                        if S::COUNTERS {
-                            self.counters.inc(CounterId::FwdMiss);
-                        }
-                        (self.qmax_mem[idx], 0)
-                    }
+            _ => {
+                if S::COUNTERS && hazard == HazardMode::Forwarding {
+                    self.counters.inc(CounterId::FwdMiss);
                 }
-            }
-            HazardMode::Ignore => {
-                self.commit_qmax_until(cycle);
-                (self.qmax_mem[idx], 0)
-            }
-            HazardMode::StallOnly => {
-                let h = self.drain_horizon_qmax.max(cycle);
-                self.drain_horizon_qmax = h;
-                match self.newest_qmax(idx) {
-                    Some(p) if p.commit_cycle >= h => {
-                        let d = p.commit_cycle + 1 - cycle;
-                        if S::EVENTS {
-                            self.sink.record(&Event::Hazard {
-                                cycle,
-                                mem: MemKind::Qmax,
-                                addr: idx as u64,
-                            });
-                            self.sink.record(&Event::StallBegin {
-                                cycle,
-                                mem: MemKind::Qmax,
-                                addr: idx as u64,
-                            });
-                            self.sink.record(&Event::StallEnd { cycle: cycle + d });
-                        }
-                        (p.value, d)
-                    }
-                    Some(p) => (p.value, 0),
-                    None => (self.qmax_mem[idx], 0),
-                }
+                (value, 0)
             }
         }
     }
@@ -980,21 +1146,19 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// access (0 extra cycles) or the unoptimized |A|-read row scan
     /// (|A|−1 extra stage-2 cycles — the design point §V-A eliminates;
     /// quantified by the `ablation_qmax` experiment).
-    fn read_max(&mut self, s: State, cycle: u64) -> (V, Action, u64) {
+    #[inline(always)]
+    fn read_max<W: WriteModel<V>>(&mut self, w: &mut W, s: State, cycle: u64) -> (V, Action, u64) {
         match self.config.trainer.max_mode {
             MaxMode::QmaxArray => {
-                let ((v, a), d) = self.read_qmax(s, cycle);
+                let ((v, a), d) = self.read::<QmaxMem, W>(w, s as usize, cycle);
                 (v, a, d)
             }
             MaxMode::ExactScan => {
-                let mut delay = 0u64;
-                let (mut best_v, mut best_a) = {
-                    let (v, d) = self.read_q(s, 0, cycle);
-                    delay = delay.max(d);
-                    (v, 0u32)
-                };
-                for a in 1..self.num_actions as Action {
-                    let (v, d) = self.read_q(s, a, cycle + a as u64);
+                let na = self.num_actions;
+                let (mut best_v, mut delay) = self.read::<QMem, W>(w, sa_index(s, 0, na), cycle);
+                let mut best_a = 0;
+                for a in 1..na as Action {
+                    let (v, d) = self.read::<QMem, W>(w, sa_index(s, a, na), cycle + a as u64);
                     delay = delay.max(d);
                     if v.vcmp(best_v) == core::cmp::Ordering::Greater {
                         best_v = v;
@@ -1002,7 +1166,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                     }
                 }
                 // The scan occupies stage 2 for |A| cycles instead of 1.
-                (best_v, best_a, delay + self.num_actions as u64 - 1)
+                (best_v, best_a, delay + na as u64 - 1)
             }
         }
     }
@@ -1012,7 +1176,15 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// the stored greedy action — the health layer's policy-churn signal
     /// (`flip` is only computed under `S::HEALTH` and is `false`
     /// otherwise).
-    fn qmax_writeback(&mut self, s: State, a: Action, v: V, cycle: u64) -> (bool, bool) {
+    #[inline(always)]
+    fn qmax_writeback<W: WriteModel<V>>(
+        &mut self,
+        w: &mut W,
+        s: State,
+        a: Action,
+        v: V,
+        cycle: u64,
+    ) -> (bool, bool) {
         let idx = s as usize;
         if S::COUNTERS {
             // The RMW's read half always accesses the Qmax port.
@@ -1023,20 +1195,17 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         // A pending entry whose commit cycle already passed holds exactly
         // the value the BRAM would after draining, so the newest-writer
         // lookup needs no commit-cycle filter here.
-        let (current, current_a) = match self.config.hazard {
-            HazardMode::Ignore => {
-                self.commit_qmax_until(cycle);
-                self.qmax_mem[idx]
-            }
-            _ => {
-                // The controller services the RMW at the write cycle,
-                // retiring everything due before it: raise the
-                // visibility horizon past the next iteration's reads.
-                self.drain_horizon_qmax = self.drain_horizon_qmax.max(cycle);
-                self.newest_qmax(idx)
-                    .map(|p| p.value)
-                    .unwrap_or(self.qmax_mem[idx])
-            }
+        let (current, current_a) = if self.config.hazard == HazardMode::Ignore {
+            self.retire::<QmaxMem, W>(w, cycle);
+            self.mem.qmax.image[idx]
+        } else {
+            // The controller services the RMW at the write cycle,
+            // retiring everything due before it: raise the visibility
+            // horizon past the next iteration's reads.
+            let port = &mut self.mem.qmax;
+            port.horizon = port.horizon.max(cycle);
+            w.newest::<QmaxMem>(port, idx)
+                .map_or(port.image[idx], |p| p.value)
         };
         if v.vcmp(current) == core::cmp::Ordering::Greater {
             if S::COUNTERS {
@@ -1047,8 +1216,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 addr: idx,
                 value: (v, a),
             };
-            self.pending_qmax.push_back(p);
-            self.fwd_qmax.push(p);
+            w.write::<QmaxMem>(&mut self.mem.qmax, p);
             (true, S::HEALTH && a != current_a)
         } else {
             (false, false)
@@ -1057,10 +1225,11 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
     /// Feed one retired sample to the sink's health probe (no-op unless
     /// `S::HEALTH`; call sites are additionally gated on the const so the
-    /// `NullSink` build monomorphizes this away entirely). Both engines
-    /// call this once per retired sample, in retirement order, with
-    /// identical arguments — the probe strides internally, so its state
-    /// is bit-exact across executors at any stride.
+    /// `NullSink` build monomorphizes this away entirely). The stage body
+    /// calls this once per retired sample, in retirement order, with the
+    /// same arguments under every executor — the probe strides
+    /// internally, so its state is bit-exact across executors at any
+    /// stride.
     #[inline]
     fn health_tick(
         &mut self,
@@ -1088,15 +1257,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 ),
                 None => (V::to_bits(q_sa), V::to_bits(q_new), V::storage_bits()),
             };
-            probe.observe_sample(
-                write_cycle,
-                s as u64,
-                qa,
-                qb,
-                bits,
-                qmax_wrote,
-                greedy_flip,
-            );
+            probe.observe_sample(write_cycle, s as u64, qa, qb, bits, qmax_wrote, greedy_flip);
         }
     }
 
@@ -1114,96 +1275,109 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
     // ---- policy units --------------------------------------------------
 
-    /// Stage-1 behaviour action selection; returns the action and any
-    /// stall delay from the Qmax read of a greedy component.
-    fn behavior_select(&mut self, s: State, cycle: u64) -> (Action, u64) {
-        let n = self.num_actions as u32;
-        match self.config.trainer.behavior {
-            Policy::Random => {
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::LfsrDraws);
-                }
-                (self.behavior_rng.below(n), 0)
-            }
-            Policy::Greedy => {
-                let (v, a, d) = self.read_max(s, cycle);
-                let _ = v;
-                (a, d)
-            }
-            Policy::EpsilonGreedy { epsilon } => {
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::LfsrDraws);
-                }
-                match epsilon_greedy_draw(&mut self.behavior_rng, epsilon_to_q32(epsilon), n) {
-                    Some(a) => (a, 0),
-                    None => {
-                        let (_, a, d) = self.read_max(s, cycle);
-                        (a, d)
-                    }
-                }
-            }
+    /// One policy unit's draw: `Some(action)` when it picks at random,
+    /// `None` when it takes the row maximum. Counts the LFSR draw.
+    #[inline(always)]
+    fn policy_draw(
+        policy: Policy,
+        rng: &mut Lfsr32,
+        counters: &mut CounterBank,
+        n: u32,
+        role: &str,
+    ) -> Option<Action> {
+        let threshold = match policy {
+            Policy::Greedy => return None,
+            Policy::Random => None,
+            Policy::EpsilonGreedy { epsilon } => Some(epsilon_to_q32(epsilon)),
             Policy::Boltzmann { .. } => panic!(
-                "Boltzmann behaviour policy is not synthesizable on the QRL engine; \
+                "Boltzmann {role} policy is not synthesizable on the QRL engine; \
                  use the probability-table bandit engine (qtaccel_accel::bandit)"
             ),
+        };
+        if S::COUNTERS {
+            counters.inc(CounterId::LfsrDraws);
+        }
+        match threshold {
+            None => Some(rng.below(n)),
+            Some(t) => epsilon_greedy_draw(rng, t, n),
+        }
+    }
+
+    /// Stage-1 behaviour action selection; returns the action and any
+    /// stall delay from the row-max read of a greedy component.
+    #[inline(always)]
+    fn behavior_select<W: WriteModel<V>>(
+        &mut self,
+        w: &mut W,
+        s: State,
+        cycle: u64,
+    ) -> (Action, u64) {
+        let policy = self.config.trainer.behavior;
+        let n = self.num_actions as u32;
+        match Self::policy_draw(
+            policy,
+            &mut self.behavior_rng,
+            &mut self.counters,
+            n,
+            "behaviour",
+        ) {
+            Some(a) => (a, 0),
+            None => {
+                let (_, a, d) = self.read_max(w, s, cycle);
+                (a, d)
+            }
         }
     }
 
     /// Stage-2 update-policy selection: the next action *and* the Q-value
     /// operand for the Eq. (3) multiply.
-    fn update_select(&mut self, s_next: State, cycle: u64) -> (Action, V, u64) {
+    #[inline(always)]
+    fn update_select<W: WriteModel<V>>(
+        &mut self,
+        w: &mut W,
+        s_next: State,
+        cycle: u64,
+    ) -> (Action, V, u64) {
+        let policy = self.config.trainer.update;
         let n = self.num_actions as u32;
-        match self.config.trainer.update {
-            Policy::Greedy => {
-                let (v, a, d) = self.read_max(s_next, cycle);
+        match Self::policy_draw(
+            policy,
+            &mut self.update_rng,
+            &mut self.counters,
+            n,
+            "update",
+        ) {
+            Some(a) => {
+                let idx = sa_index(s_next, a, self.num_actions);
+                let (v, d) = self.read::<QMem, W>(w, idx, cycle);
                 (a, v, d)
             }
-            Policy::Random => {
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::LfsrDraws);
-                }
-                let a = self.update_rng.below(n);
-                let (v, d) = self.read_q(s_next, a, cycle);
+            None => {
+                let (v, a, d) = self.read_max(w, s_next, cycle);
                 (a, v, d)
             }
-            Policy::EpsilonGreedy { epsilon } => {
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::LfsrDraws);
-                }
-                match epsilon_greedy_draw(&mut self.update_rng, epsilon_to_q32(epsilon), n) {
-                    Some(a) => {
-                        let (v, d) = self.read_q(s_next, a, cycle);
-                        (a, v, d)
-                    }
-                    None => {
-                        let (v, a, d) = self.read_max(s_next, cycle);
-                        (a, v, d)
-                    }
-                }
-            }
-            Policy::Boltzmann { .. } => panic!(
-                "Boltzmann update policy is not synthesizable on the QRL engine; \
-                 use the probability-table bandit engine (qtaccel_accel::bandit)"
-            ),
         }
     }
 
     // ---- execution ------------------------------------------------------
 
-    /// Push one iteration down the pipe: one retired sample. Returns the
-    /// transition for tracing.
-    pub fn step<E: Environment>(&mut self, env: &E) -> Transition<V> {
-        debug_assert_eq!(env.num_states(), self.num_states, "environment mismatch");
-        debug_assert_eq!(env.num_actions(), self.num_actions, "environment mismatch");
+    /// The stage body both write models run: one iteration pushed down
+    /// the pipe, one retired sample. Stage 1 (carry or random start,
+    /// behaviour action, transition, Q read), stage 2 (update action and
+    /// its Q or row-max operand), stage 3 (Eq. 3 and the quantizer) and
+    /// stage 4 (Q write, Qmax read-modify-write), then the health tick,
+    /// the stats and counters, the carry and — under the reference
+    /// model — events and the fault hook.
+    #[inline(always)]
+    fn stage<W: WriteModel<V>, E: Environment>(&mut self, w: &mut W, env: &E) -> Transition<V> {
         let c1 = self.next_c1;
 
         // Per-step commit point: retire every write due before this
         // step's stage 1. Reads further into the step resolve any write
         // committing mid-step through the commit-cycle filters in
-        // read_q/read_qmax, so this is the only drain the common path
-        // performs.
-        self.commit_q_until(c1);
-        self.commit_qmax_until(c1);
+        // `read`, so this is the only drain the common path performs.
+        self.retire::<QMem, W>(w, c1);
+        self.retire::<QmaxMem, W>(w, c1);
 
         // Stage 1: state + behaviour action + transition + reads.
         let (s, a, d1) = match self.carry.take() {
@@ -1214,23 +1388,24 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                     self.counters.inc(CounterId::LfsrDraws);
                 }
                 let s = env.random_start(&mut self.start_rng);
-                let (a, d) = self.behavior_select(s, c1);
+                let (a, d) = self.behavior_select(w, s, c1);
                 (s, a, d)
             }
             Some((s, Some(a))) => (s, a, 0), // forwarded on-policy action
             Some((s, None)) => {
-                let (a, d) = self.behavior_select(s, c1);
+                let (a, d) = self.behavior_select(w, s, c1);
                 (s, a, d)
             }
         };
         let s_next = env.transition(s, a);
         let r = self.rewards.get(s, a);
-        let (q_sa, dq) = self.read_q(s, a, c1 + d1);
+        let addr = sa_index(s, a, self.num_actions);
+        let (q_sa, dq) = self.read::<QMem, W>(w, addr, c1 + d1);
         let d1 = d1 + dq;
 
         // Stage 2 (cycle c1 + d1 + 1): next action + its Q operand.
         let c2 = c1 + d1 + 1;
-        let (a_next, q_next, d2) = self.update_select(s_next, c2);
+        let (a_next, q_next, d2) = self.update_select(w, s_next, c2);
 
         // Stage 3: Eq. (3), then the quantizer on the writeback path.
         let q_new = self
@@ -1245,15 +1420,14 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         let write_cycle = c1 + stalls + WRITE_OFFSET;
         let p = Pending {
             commit_cycle: write_cycle,
-            addr: sa_index(s, a, self.num_actions),
+            addr,
             value: q_new,
         };
-        self.pending_q.push_back(p);
-        self.fwd_q.push(p);
+        w.write::<QMem>(&mut self.mem.q, p);
         if S::COUNTERS {
             self.counters.inc(CounterId::QWrites);
         }
-        let (qmax_wrote, greedy_flip) = self.qmax_writeback(s, a, q_new, write_cycle);
+        let (qmax_wrote, greedy_flip) = self.qmax_writeback(w, s, a, q_new, write_cycle);
         if S::HEALTH {
             self.health_tick(write_cycle, s, q_sa, q_new, qmax_wrote, greedy_flip);
         }
@@ -1270,7 +1444,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             self.counters.add(CounterId::StallStage1, d1);
             self.counters.add(CounterId::StallStage2, d2);
         }
-        if S::EVENTS {
+        if S::EVENTS && W::REFERENCE {
             // Stage occupancy, matching PipelineTrace::record_iteration's
             // long-standing placement: stage 1 at issue, stages 2–4
             // compressed behind the stalls.
@@ -1301,7 +1475,9 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             ))
         };
 
-        self.fault_tick();
+        if W::REFERENCE {
+            self.fault_tick();
+        }
 
         Transition {
             s,
@@ -1313,7 +1489,15 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         }
     }
 
-    /// Run `n` iterations.
+    /// Push one iteration down the pipe through the cycle-accurate
+    /// reference: one retired sample. Returns the transition for tracing.
+    pub fn step<E: Environment>(&mut self, env: &E) -> Transition<V> {
+        debug_assert_eq!(env.num_states(), self.num_states, "environment mismatch");
+        debug_assert_eq!(env.num_actions(), self.num_actions, "environment mismatch");
+        self.stage(&mut Delayed, env)
+    }
+
+    /// Run `n` iterations through the cycle-accurate reference.
     pub fn train_samples<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
         for _ in 0..n {
             self.step(env);
@@ -1321,253 +1505,43 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         self.stats
     }
 
+    /// [`train_samples`](Self::train_samples) behind a call, so the fast
+    /// path's loops are not compiled with the cycle-accurate engine
+    /// inlined beside them: inlined, it cost the window-register loop
+    /// about 3% per sample on a 2-core x86-64 VM.
+    #[inline(never)]
+    fn train_samples_out_of_line<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
+        self.train_samples(env, n)
+    }
+
     // ---- fast path ------------------------------------------------------
 
-    /// Fast read of Q(s, a) at `cycle`. In the immediate-commit modes
-    /// (`Forwarding`/`StallOnly`) `q_mem` already holds the newest value
-    /// for every address — exactly what the forwarding network or the
-    /// post-stall read would return — so the ring is consulted only for
-    /// the commit cycle (forward counting / stall delay). In `Ignore`
-    /// mode the ring carries genuinely uncommitted values and is drained
-    /// to the read cycle first, reproducing the stale BRAM image.
-    #[inline(always)]
-    fn fast_read_q(&mut self, qring: &mut WriteRing<V>, idx: usize, cycle: u64) -> (V, u64) {
-        if S::COUNTERS {
-            self.counters.inc(CounterId::QReads);
-        }
-        match self.config.hazard {
-            HazardMode::Forwarding => {
-                let h = self.drain_horizon_q.max(cycle);
-                self.drain_horizon_q = h;
-                if matches!(qring.newest_cc(idx), Some(cc) if cc >= h) {
-                    self.stats.forwards += 1;
-                    if S::COUNTERS {
-                        self.counters.inc(CounterId::FwdQHit);
-                    }
-                } else if S::COUNTERS {
-                    self.counters.inc(CounterId::FwdMiss);
-                }
-                (self.q_mem[idx], 0)
-            }
-            HazardMode::Ignore => {
-                let mem = &mut self.q_mem;
-                qring.retire_due(cycle, |a, v| mem[a] = v);
-                (self.q_mem[idx], 0)
-            }
-            HazardMode::StallOnly => {
-                let h = self.drain_horizon_q.max(cycle);
-                self.drain_horizon_q = h;
-                let d = match qring.newest_cc(idx) {
-                    Some(cc) if cc >= h => cc + 1 - cycle,
-                    _ => 0,
-                };
-                (self.q_mem[idx], d)
-            }
-        }
-    }
-
-    /// Fast read of the Qmax entry for `s` at `cycle`.
-    #[inline(always)]
-    fn fast_read_qmax(
-        &mut self,
-        mring: &mut WriteRing<(V, Action)>,
-        idx: usize,
-        cycle: u64,
-    ) -> ((V, Action), u64) {
-        if S::COUNTERS {
-            self.counters.inc(CounterId::QmaxReads);
-        }
-        match self.config.hazard {
-            HazardMode::Forwarding => {
-                let h = self.drain_horizon_qmax.max(cycle);
-                self.drain_horizon_qmax = h;
-                if matches!(mring.newest_cc(idx), Some(cc) if cc >= h) {
-                    self.stats.forwards += 1;
-                    if S::COUNTERS {
-                        self.counters.inc(CounterId::FwdQmaxHit);
-                    }
-                } else if S::COUNTERS {
-                    self.counters.inc(CounterId::FwdMiss);
-                }
-                (self.qmax_mem[idx], 0)
-            }
-            HazardMode::Ignore => {
-                let mem = &mut self.qmax_mem;
-                mring.retire_due(cycle, |a, v| mem[a] = v);
-                (self.qmax_mem[idx], 0)
-            }
-            HazardMode::StallOnly => {
-                let h = self.drain_horizon_qmax.max(cycle);
-                self.drain_horizon_qmax = h;
-                let d = match mring.newest_cc(idx) {
-                    Some(cc) if cc >= h => cc + 1 - cycle,
-                    _ => 0,
-                };
-                (self.qmax_mem[idx], d)
-            }
-        }
-    }
-
-    /// Fast-path mirror of [`read_max`](Self::read_max).
-    #[inline(always)]
-    fn fast_read_max(
-        &mut self,
-        qring: &mut WriteRing<V>,
-        mring: &mut WriteRing<(V, Action)>,
-        s: State,
-        cycle: u64,
-    ) -> (V, Action, u64) {
-        match self.config.trainer.max_mode {
-            MaxMode::QmaxArray => {
-                let ((v, a), d) = self.fast_read_qmax(mring, s as usize, cycle);
-                (v, a, d)
-            }
-            MaxMode::ExactScan => {
-                let mut delay = 0u64;
-                let (mut best_v, mut best_a) = {
-                    let (v, d) = self.fast_read_q(qring, sa_index(s, 0, self.num_actions), cycle);
-                    delay = delay.max(d);
-                    (v, 0u32)
-                };
-                for a in 1..self.num_actions as Action {
-                    let (v, d) = self.fast_read_q(
-                        qring,
-                        sa_index(s, a, self.num_actions),
-                        cycle + a as u64,
-                    );
-                    delay = delay.max(d);
-                    if v.vcmp(best_v) == core::cmp::Ordering::Greater {
-                        best_v = v;
-                        best_a = a;
-                    }
-                }
-                (best_v, best_a, delay + self.num_actions as u64 - 1)
-            }
-        }
-    }
-
-    /// Fast-path mirror of [`behavior_select`](Self::behavior_select):
-    /// identical policy dispatch and RNG draw order.
-    #[inline(always)]
-    fn fast_behavior_select(
-        &mut self,
-        qring: &mut WriteRing<V>,
-        mring: &mut WriteRing<(V, Action)>,
-        s: State,
-        cycle: u64,
-    ) -> (Action, u64) {
-        let n = self.num_actions as u32;
-        match self.config.trainer.behavior {
-            Policy::Random => {
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::LfsrDraws);
-                }
-                (self.behavior_rng.below(n), 0)
-            }
-            Policy::Greedy => {
-                let (_, a, d) = self.fast_read_max(qring, mring, s, cycle);
-                (a, d)
-            }
-            Policy::EpsilonGreedy { epsilon } => {
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::LfsrDraws);
-                }
-                match epsilon_greedy_draw(&mut self.behavior_rng, epsilon_to_q32(epsilon), n) {
-                    Some(a) => (a, 0),
-                    None => {
-                        let (_, a, d) = self.fast_read_max(qring, mring, s, cycle);
-                        (a, d)
-                    }
-                }
-            }
-            Policy::Boltzmann { .. } => panic!(
-                "Boltzmann behaviour policy is not synthesizable on the QRL engine; \
-                 use the probability-table bandit engine (qtaccel_accel::bandit)"
-            ),
-        }
-    }
-
-    /// Fast-path mirror of [`update_select`](Self::update_select).
-    #[inline(always)]
-    fn fast_update_select(
-        &mut self,
-        qring: &mut WriteRing<V>,
-        mring: &mut WriteRing<(V, Action)>,
-        s_next: State,
-        cycle: u64,
-    ) -> (Action, V, u64) {
-        let n = self.num_actions as u32;
-        match self.config.trainer.update {
-            Policy::Greedy => {
-                let (v, a, d) = self.fast_read_max(qring, mring, s_next, cycle);
-                (a, v, d)
-            }
-            Policy::Random => {
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::LfsrDraws);
-                }
-                let a = self.update_rng.below(n);
-                let (v, d) =
-                    self.fast_read_q(qring, sa_index(s_next, a, self.num_actions), cycle);
-                (a, v, d)
-            }
-            Policy::EpsilonGreedy { epsilon } => {
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::LfsrDraws);
-                }
-                match epsilon_greedy_draw(&mut self.update_rng, epsilon_to_q32(epsilon), n) {
-                    Some(a) => {
-                        let (v, d) =
-                            self.fast_read_q(qring, sa_index(s_next, a, self.num_actions), cycle);
-                        (a, v, d)
-                    }
-                    None => {
-                        let (v, a, d) = self.fast_read_max(qring, mring, s_next, cycle);
-                        (a, v, d)
-                    }
-                }
-            }
-            Policy::Boltzmann { .. } => panic!(
-                "Boltzmann update policy is not synthesizable on the QRL engine; \
-                 use the probability-table bandit engine (qtaccel_accel::bandit)"
-            ),
-        }
-    }
-
-    /// Run `n` iterations through the fast-path executor: one sample per
-    /// loop iteration, closed-form cycle accounting, no per-cycle queue
-    /// bookkeeping — and bit-identical results.
+    /// Run `n` iterations through the fastest executor the pipeline's
+    /// sink and configuration allow — with results bit-identical to
+    /// [`train_samples`](Self::train_samples). The routing rule:
     ///
-    /// An event sink (`S::EVENTS`) runs [`train_samples`](Self::train_samples)
-    /// instead, the only engine that emits events. For every other sink,
-    /// two loops sit behind this entry point:
+    /// - the **window-register loop** (`run_window`) whenever the
+    ///   configuration allows it: uninstrumented sink, no fault runtime,
+    ///   `Forwarding` hazards, `QmaxArray` maxima, and `|S|` within the
+    ///   stored-word codec's address bound (full-width storage, or a
+    ///   quantized format of at most 8 stored bits). Every entry resyncs
+    ///   the codec's whole `O(|S|·|A|)` Q column from the committed BRAM
+    ///   image and writes it back at exit (the first entry also builds
+    ///   the environment image), so a call costs `O(n + |S|·|A|)`: calls
+    ///   shorter than the table pay mostly for the resync.
+    /// - otherwise, for an event sink (`S::EVENTS`) or an attached fault
+    ///   runtime, the cycle-accurate engine itself: the delayed-commit
+    ///   model is the only one that emits events, and the only one on
+    ///   which a strike meets the documented uncommitted image.
+    /// - otherwise the stage body over the **immediate-commit model**,
+    ///   which commits writes at issue and keeps only a
+    ///   `FAST_RING`-entry window of write history (see `Ring`); it
+    ///   keeps every perf counter and feeds the health probe.
     ///
-    /// - the **window-register loop** (`run_window`),
-    ///   taken whenever the configuration allows it: uninstrumented sink,
-    ///   no fault runtime, `Forwarding` hazards, `QmaxArray` maxima, and
-    ///   `|S|` within the stored-word codec's address bound (full-width
-    ///   storage, or a quantized format of at most 8 stored bits). Every
-    ///   entry resyncs the codec's whole `O(|S|·|A|)` Q column from the
-    ///   committed BRAM image and writes it back at exit (the first entry
-    ///   also builds the environment image), so a call costs
-    ///   `O(n + |S|·|A|)`: calls shorter than the table pay mostly for the
-    ///   resync.
-    /// - the **general executor** otherwise. In `Forwarding` and
-    ///   `StallOnly` modes every read returns the *newest* write to its
-    ///   address (via the forwarding network, or because the front end
-    ///   stalled until the write landed), so it commits writes to memory
-    ///   immediately and keeps only a `FAST_RING`-entry window of
-    ///   `(address, commit cycle)` history to reproduce the forward
-    ///   counts and stall delays the real pipeline reports. `Ignore` mode
-    ///   is the one place stale values are architecturally visible, so
-    ///   there the ring carries real delayed writes, drained per read —
-    ///   still O(1), still allocation-free. It mirrors every perf counter
-    ///   for instrumented sinks.
-    ///
-    /// Entry/exit protocols convert between the cycle-accurate pending
-    /// queues and each loop's window so the executors can be interleaved
-    /// freely on one pipeline: final Q-table, Qmax table, and
-    /// [`CycleStats`] are bit-identical to [`train_samples`](Self::train_samples)
+    /// Entry/exit protocols convert between the pending queues and each
+    /// loop's window so the executors can be interleaved freely on one
+    /// pipeline: final Q-table, Qmax table, [`CycleStats`] and counters
+    /// are bit-identical to [`train_samples`](Self::train_samples)
     /// (enforced by the `fast_path` equivalence tests). One observable
     /// caveat: the raw *committed* BRAM image may lead the cycle-accurate
     /// formulation by up to the pipeline depth at the moment of return,
@@ -1577,19 +1551,18 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         debug_assert_eq!(env.num_states(), self.num_states, "environment mismatch");
         debug_assert_eq!(env.num_actions(), self.num_actions, "environment mismatch");
 
-        if S::EVENTS {
-            return self.train_samples(env, n);
+        if S::EVENTS || self.fault.is_some() {
+            return self.train_samples_out_of_line(env, n);
         }
 
         // The window-register loop is uninstrumented by design (its whole
         // point is eliding per-access bookkeeping), so a counter or health
-        // sink takes the general executor below, which mirrors every
+        // sink takes the immediate-commit model below, which keeps every
         // counter. Ineligible quantized configs fall through too: the
-        // general executor applies the identical writeback quantizer.
+        // stage body applies the identical writeback quantizer.
         let window = n > 0
             && !S::COUNTERS
             && !S::HEALTH
-            && self.fault.is_none()
             && self.config.hazard == HazardMode::Forwarding
             && self.config.trainer.max_mode == MaxMode::QmaxArray
             && match &self.quant {
@@ -1598,196 +1571,36 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                     self.num_states <= Quantized::<V>::MAX_STATES && q.policy.stored_bits() <= 8
                 }
             };
-        if window {
-            match self.quant.take() {
-                None => {
-                    let codec = self
-                        .fast_image
-                        .take()
-                        .unwrap_or_else(|| FullWidth::build(env, &self.rewards));
-                    self.fast_image = Some(self.run_window(env, n, codec));
-                }
-                Some(mut quant) => {
-                    let image = self
-                        .packed_image
-                        .take()
-                        .unwrap_or_else(|| PackedImage::build(env, &self.rewards, &quant.policy));
-                    let codec = Quantized {
-                        image,
-                        policy: quant.policy,
-                        dither: Lfsr32Unrolled::new(&quant.rng),
-                    };
-                    let codec = self.run_window(env, n, codec);
-                    quant.rng = codec.dither.into_lfsr();
-                    self.packed_image = Some(codec.image);
-                    self.quant = Some(quant);
-                }
+        if !window {
+            let mut ring = Ring::enter(&mut self.mem, self.config.hazard != HazardMode::Ignore);
+            for _ in 0..n {
+                self.stage(&mut ring, env);
             }
+            ring.exit(&mut self.mem, self.next_c1);
             return self.stats;
         }
-
-        let immediate = self.config.hazard != HazardMode::Ignore;
-
-        // Entry: fold the pending queues into the ring window. In the
-        // immediate-commit modes the values land in memory right away
-        // (memory = newest image); in Ignore mode they stay in flight.
-        let mut qring = WriteRing::<V>::new();
-        let mut mring = WriteRing::<(V, Action)>::new();
-        while let Some(p) = self.pending_q.pop_front() {
-            if immediate {
-                self.q_mem[p.addr] = p.value;
+        match self.quant.take() {
+            None => {
+                let codec = self
+                    .fast_image
+                    .take()
+                    .unwrap_or_else(|| FullWidth::build(env, &self.rewards));
+                self.fast_image = Some(self.run_window(env, n, codec));
             }
-            qring.push(p);
-        }
-        while let Some(p) = self.pending_qmax.pop_front() {
-            if immediate {
-                self.qmax_mem[p.addr] = p.value;
-            }
-            mring.push(p);
-        }
-        self.fwd_q.clear();
-        self.fwd_qmax.clear();
-
-        for _ in 0..n {
-            let c1 = self.next_c1;
-            if !immediate {
-                // Delayed-commit drain, same point as the cycle-accurate
-                // engine's per-step commit.
-                let qmem = &mut self.q_mem;
-                qring.retire_due(c1, |a, v| qmem[a] = v);
-                let mmem = &mut self.qmax_mem;
-                mring.retire_due(c1, |a, v| mmem[a] = v);
-            }
-
-            // Stage 1.
-            let (s, a, d1) = match self.carry.take() {
-                None => {
-                    if S::COUNTERS {
-                        self.counters.inc(CounterId::LfsrDraws);
-                    }
-                    let s = env.random_start(&mut self.start_rng);
-                    let (a, d) = self.fast_behavior_select(&mut qring, &mut mring, s, c1);
-                    (s, a, d)
-                }
-                Some((s, Some(a))) => (s, a, 0),
-                Some((s, None)) => {
-                    let (a, d) = self.fast_behavior_select(&mut qring, &mut mring, s, c1);
-                    (s, a, d)
-                }
-            };
-            let s_next = env.transition(s, a);
-            let r = self.rewards.get(s, a);
-            let (q_sa, dq) =
-                self.fast_read_q(&mut qring, sa_index(s, a, self.num_actions), c1 + d1);
-            let d1 = d1 + dq;
-
-            // Stage 2.
-            let c2 = c1 + d1 + 1;
-            let (a_next, q_next, d2) = self.fast_update_select(&mut qring, &mut mring, s_next, c2);
-
-            // Stage 3, then the quantizer on the writeback path.
-            let q_new = self
-                .one_minus_alpha
-                .mul(q_sa)
-                .add(self.alpha_v.mul(r))
-                .add(self.alpha_gamma.mul(q_next));
-            let q_new = self.quantize_writeback(q_new);
-
-            // Stage 4.
-            let stalls = d1 + d2;
-            let write_cycle = c1 + stalls + WRITE_OFFSET;
-            let qaddr = sa_index(s, a, self.num_actions);
-            if immediate {
-                self.q_mem[qaddr] = q_new;
-            }
-            qring.push(Pending {
-                commit_cycle: write_cycle,
-                addr: qaddr,
-                value: q_new,
-            });
-            if S::COUNTERS {
-                self.counters.inc(CounterId::QWrites);
-                // The stage-4 RMW's read half (the cycle engine counts
-                // it inside qmax_writeback).
-                self.counters.inc(CounterId::QmaxReads);
-            }
-
-            // Qmax read-modify-write. In the immediate-commit modes
-            // memory already holds the newest image, so the stored pair
-            // read here is exactly what the cycle engine's forwarding
-            // lookup would return — the greedy-flip signal matches.
-            let midx = s as usize;
-            let (current, current_a) = if immediate {
-                self.drain_horizon_qmax = self.drain_horizon_qmax.max(write_cycle);
-                self.qmax_mem[midx]
-            } else {
-                let mmem = &mut self.qmax_mem;
-                mring.retire_due(write_cycle, |a, v| mmem[a] = v);
-                self.qmax_mem[midx]
-            };
-            let mut qmax_wrote = false;
-            if q_new.vcmp(current) == core::cmp::Ordering::Greater {
-                qmax_wrote = true;
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::QmaxWrites);
-                }
-                if immediate {
-                    self.qmax_mem[midx] = (q_new, a);
-                }
-                debug_assert!(immediate || mring.len < FAST_RING, "qmax window overflow");
-                mring.push(Pending {
-                    commit_cycle: write_cycle,
-                    addr: midx,
-                    value: (q_new, a),
-                });
-            }
-            if S::HEALTH {
-                let flip = qmax_wrote && a != current_a;
-                self.health_tick(write_cycle, s, q_sa, q_new, qmax_wrote, flip);
-            }
-
-            self.stats.samples += 1;
-            self.stats.stalls += stalls;
-            self.stats.cycles = write_cycle + 1;
-            self.next_c1 = c1 + stalls + 1;
-            if S::COUNTERS {
-                self.counters.inc(CounterId::SamplesRetired);
-                self.counters.add(CounterId::StallStage1, d1);
-                self.counters.add(CounterId::StallStage2, d2);
-            }
-
-            self.carry = if env.is_terminal(s_next) {
-                None
-            } else {
-                Some((
-                    s_next,
-                    if self.config.trainer.forward_next_action {
-                        Some(a_next)
-                    } else {
-                        None
-                    },
-                ))
-            };
-
-            self.fault_tick();
-        }
-
-        // Exit: reconstruct the pending queues so a subsequent
-        // cycle-accurate run observes the same forwarding behaviour. In
-        // the immediate-commit modes only writes still in flight relative
-        // to the next stage-1 cycle matter (older ring history is already
-        // architecturally committed); in Ignore mode every ring entry is
-        // a real uncommitted write.
-        for p in qring.iter() {
-            if !immediate || p.commit_cycle >= self.next_c1 {
-                self.pending_q.push_back(p);
-                self.fwd_q.push(p);
-            }
-        }
-        for p in mring.iter() {
-            if !immediate || p.commit_cycle >= self.next_c1 {
-                self.pending_qmax.push_back(p);
-                self.fwd_qmax.push(p);
+            Some(mut quant) => {
+                let image = self
+                    .packed_image
+                    .take()
+                    .unwrap_or_else(|| PackedImage::build(env, &self.rewards, &quant.policy));
+                let codec = Quantized {
+                    image,
+                    policy: quant.policy,
+                    dither: Lfsr32Unrolled::new(&quant.rng),
+                };
+                let codec = self.run_window(env, n, codec);
+                quant.rng = codec.dither.into_lfsr();
+                self.packed_image = Some(codec.image);
+                self.quant = Some(quant);
             }
         }
         self.stats
@@ -1865,8 +1678,8 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         // the exit protocol can recover each window value from the
         // committed image instead of rotating values through the loop.
         let mut qw_addr = [NO_ADDR; 3]; // [0] = previous iteration
-        while let Some(p) = self.pending_q.pop_front() {
-            self.q_mem[p.addr] = p.value;
+        while let Some(p) = self.mem.q.pending.pop_front() {
+            self.mem.q.image[p.addr] = p.value;
             debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
             if p.commit_cycle >= entry_c1 {
                 let slot = (entry_c1 + 2 - p.commit_cycle) as usize;
@@ -1874,17 +1687,17 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             }
         }
         let mut mw_addr = [NO_ADDR; 3];
-        while let Some(p) = self.pending_qmax.pop_front() {
-            self.qmax_mem[p.addr] = p.value;
+        while let Some(p) = self.mem.qmax.pending.pop_front() {
+            self.mem.qmax.image[p.addr] = p.value;
             debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
             if p.commit_cycle >= entry_c1 {
                 let slot = (entry_c1 + 2 - p.commit_cycle) as usize;
                 mw_addr[slot] = p.addr;
             }
         }
-        self.fwd_q.clear();
-        self.fwd_qmax.clear();
-        codec.load_column(&self.q_mem);
+        self.mem.q.fwd.clear();
+        self.mem.qmax.fwd.clear();
+        codec.load_column(&self.mem.q.image);
 
         let mut carry = self.carry.take();
         let mut forwards = 0u64;
@@ -1892,7 +1705,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         // than the Qmax array)? Decides the exit Q-read horizon.
         let mut last_update_read_q = false;
 
-        let qmax = &mut self.qmax_mem[..];
+        let qmax = &mut self.mem.qmax.image[..];
         let (one_minus_alpha, alpha_v, alpha_gamma) =
             (self.one_minus_alpha, self.alpha_v, self.alpha_gamma);
 
@@ -1932,9 +1745,8 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             let qaddr = s as usize * na + a as usize;
             let f = codec.fetch(qaddr);
             let s_next = f.s_next;
-            forwards += u64::from(
-                qaddr == qw_addr[0] || qaddr == qw_addr[1] || qaddr == qw_addr[2],
-            );
+            forwards +=
+                u64::from(qaddr == qw_addr[0] || qaddr == qw_addr[1] || qaddr == qw_addr[2]);
 
             // Stage 2: update selection one cycle later, so only the two
             // youngest Q writes are still in flight.
@@ -2005,21 +1817,21 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
         // Write the live Q column back into the committed BRAM image and
         // resynchronise the serial RNG registers.
-        codec.store_column(&mut self.q_mem);
+        codec.store_column(&mut self.mem.q.image);
         self.behavior_rng = behavior_rng.into_lfsr();
         self.update_rng = update_rng.into_lfsr();
 
         // Exit: closed-form cycle accounting and pending-queue
-        // reconstruction, so a subsequent cycle-accurate run (or the
-        // general executor) observes identical state.
+        // reconstruction, so a subsequent run under either write model
+        // observes identical state.
         self.carry = carry;
         let end_c1 = entry_c1 + n;
         self.next_c1 = end_c1;
         self.stats.samples += n;
         self.stats.forwards += forwards;
         self.stats.cycles = end_c1 - 1 + WRITE_OFFSET + 1;
-        self.drain_horizon_q = end_c1 - 1 + u64::from(last_update_read_q);
-        self.drain_horizon_qmax = end_c1 - 1 + WRITE_OFFSET;
+        self.mem.q.horizon = end_c1 - 1 + u64::from(last_update_read_q);
+        self.mem.qmax.horizon = end_c1 - 1 + WRITE_OFFSET;
         // Window values are recovered from the committed tables: if one
         // address appears in two slots the older entry also gets the
         // newest value, which is unobservable — forwarding and `q_table`
@@ -2030,19 +1842,17 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 let p = Pending {
                     commit_cycle: end_c1 + 2 - slot as u64,
                     addr: qw_addr[slot],
-                    value: self.q_mem[qw_addr[slot]],
+                    value: self.mem.q.image[qw_addr[slot]],
                 };
-                self.pending_q.push_back(p);
-                self.fwd_q.push(p);
+                self.mem.q.push(p);
             }
             if mw_addr[slot] != NO_ADDR {
                 let p = Pending {
                     commit_cycle: end_c1 + 2 - slot as u64,
                     addr: mw_addr[slot],
-                    value: self.qmax_mem[mw_addr[slot]],
+                    value: self.mem.qmax.image[mw_addr[slot]],
                 };
-                self.pending_qmax.push_back(p);
-                self.fwd_qmax.push(p);
+                self.mem.qmax.push(p);
             }
         }
         codec
@@ -2062,7 +1872,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             Some(qr) => (bit % qr.policy.stored_bits()) + qr.policy.shift(),
             None => bit,
         };
-        self.q_mem[idx] = self.q_mem[idx].flip_bit(bit);
+        self.mem.q.image[idx] = self.mem.q.image[idx].flip_bit(bit);
     }
 
     /// Extract the architectural Q-table (committed image plus in-flight
@@ -2070,10 +1880,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// drain would show).
     pub fn q_table(&self) -> QTable<V> {
         let mut q = QTable::new(self.num_states, self.num_actions);
-        let mut mem = self.q_mem.clone();
-        for p in &self.pending_q {
-            mem[p.addr] = p.value;
-        }
+        let mem = self.mem.q.drained();
         for s in 0..self.num_states as State {
             for a in 0..self.num_actions as Action {
                 q.set(s, a, mem[sa_index(s, a, self.num_actions)]);
@@ -2084,12 +1891,8 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
     /// Extract the architectural Qmax array.
     pub fn qmax_table(&self) -> QmaxTable<V> {
-        let mut mem = self.qmax_mem.clone();
-        for p in &self.pending_qmax {
-            mem[p.addr] = p.value;
-        }
         let mut t = QmaxTable::new(self.num_states);
-        for (s, (v, a)) in mem.iter().enumerate() {
+        for (s, (v, a)) in self.mem.qmax.drained().iter().enumerate() {
             t.poke(s as State, *v, *a);
         }
         t
@@ -2107,10 +1910,13 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// model, and the background Qmax scrubbing engine (see
     /// [`FaultConfig`] and the `crate::fault` module docs).
     ///
-    /// With a runtime attached the fused window-register executor is
-    /// ineligible (the general fast path and the cycle-accurate engine
-    /// both take the per-retired-sample fault hook); without one, every
-    /// execution path is bit-identical to a build without this feature.
+    /// With a runtime attached every call runs the cycle-accurate engine,
+    /// the delayed-commit model whose per-retired-sample fault hook
+    /// strikes the documented committed image ([`train_samples_fast`]
+    /// routes there too); without one, every execution path is
+    /// bit-identical to a build without this feature.
+    ///
+    /// [`train_samples_fast`]: Self::train_samples_fast
     /// Replacing the runtime resets its counters and injector streams.
     pub fn enable_faults(&mut self, config: FaultConfig) {
         self.fault = Some(Box::new(FaultRt::new(config)));
@@ -2158,34 +1964,34 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         // pipeline value is flip-flop state, not a memory cell, and a
         // pending write that later commits over a struck word rewrites
         // (re-encodes) it, exactly as the hardware would.
-        if let Some((addr, bit)) = f.q_inj.maybe_strike(self.q_mem.len(), width) {
+        if let Some((addr, bit)) = f.q_inj.maybe_strike(self.mem.q.image.len(), width) {
             f.stats.injected_q += 1;
             if let Some(v) = strike_word(
-                self.q_mem[addr],
+                self.mem.q.image[addr],
                 &mut f.q_latent,
                 &mut f.stats,
                 f.config.ecc,
                 addr,
                 bit + shift,
             ) {
-                self.q_mem[addr] = v;
+                self.mem.q.image[addr] = v;
             }
         }
         // The Qmax strike model targets the value field (the wide,
         // latch-poisoning-prone part of the word); the narrow action
         // field shares the codeword under ECC but its upset cross
         // section is a rounding error next to the value bits.
-        if let Some((addr, bit)) = f.qmax_inj.maybe_strike(self.qmax_mem.len(), width) {
+        if let Some((addr, bit)) = f.qmax_inj.maybe_strike(self.mem.qmax.image.len(), width) {
             f.stats.injected_qmax += 1;
             if let Some(v) = strike_word(
-                self.qmax_mem[addr].0,
+                self.mem.qmax.image[addr].0,
                 &mut f.qmax_latent,
                 &mut f.stats,
                 f.config.ecc,
                 addr,
                 bit + shift,
             ) {
-                self.qmax_mem[addr].0 = v;
+                self.mem.qmax.image[addr].0 = v;
             }
         }
         if f.config.scrub_period > 0 {
@@ -2205,19 +2011,19 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     fn scrub_slot(&mut self, f: &mut FaultRt) {
         let s = f.scrub_cursor;
         let base = s * self.num_actions;
-        let mut best_v = self.q_mem[base];
+        let mut best_v = self.mem.q.image[base];
         let mut best_a = 0 as Action;
         for a in 1..self.num_actions {
-            let v = self.q_mem[base + a];
+            let v = self.mem.q.image[base + a];
             if v.vcmp(best_v) == core::cmp::Ordering::Greater {
                 best_v = v;
                 best_a = a as Action;
             }
         }
         f.stats.scrub_entries += 1;
-        let cur = self.qmax_mem[s];
+        let cur = self.mem.qmax.image[s];
         if QValue::to_bits(cur.0) != QValue::to_bits(best_v) || cur.1 != best_a {
-            self.qmax_mem[s] = (best_v, best_a);
+            self.mem.qmax.image[s] = (best_v, best_a);
             f.stats.scrub_repairs += 1;
             // The scrub writeback re-encodes the word: a recorded latent
             // ECC error on it is gone.
@@ -2269,30 +2075,17 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         w.push(cs);
         w.push(ca);
         w.push(self.next_c1);
-        w.push(self.drain_horizon_q);
-        w.push(self.drain_horizon_qmax);
-        // Memory images.
-        for &v in &self.q_mem {
-            w.push(QValue::to_bits(v));
+        w.push(self.mem.q.horizon);
+        w.push(self.mem.qmax.horizon);
+        // Memory images, then the in-flight write queues.
+        for &v in &self.mem.q.image {
+            QMem::save(v, &mut w);
         }
-        for &(v, a) in &self.qmax_mem {
-            w.push(QValue::to_bits(v));
-            w.push(a as u64);
+        for &e in &self.mem.qmax.image {
+            QmaxMem::save(e, &mut w);
         }
-        // In-flight write queues.
-        w.push(self.pending_q.len() as u64);
-        for p in &self.pending_q {
-            w.push(p.commit_cycle);
-            w.push(p.addr as u64);
-            w.push(QValue::to_bits(p.value));
-        }
-        w.push(self.pending_qmax.len() as u64);
-        for p in &self.pending_qmax {
-            w.push(p.commit_cycle);
-            w.push(p.addr as u64);
-            w.push(QValue::to_bits(p.value.0));
-            w.push(p.value.1 as u64);
-        }
+        save_queue::<V, QMem>(&self.mem.q, &mut w);
+        save_queue::<V, QmaxMem>(&self.mem.qmax, &mut w);
         // Fault runtime.
         match &self.fault {
             None => w.push(0),
@@ -2425,38 +2218,18 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             _ => Some((cs, Some(ca))),
         };
         let next_c1 = r.next()?;
-        let drain_horizon_q = r.next()?;
-        let drain_horizon_qmax = r.next()?;
-        let mut q_mem = Vec::with_capacity(self.q_mem.len());
-        for _ in 0..self.q_mem.len() {
-            q_mem.push(V::from_bits(r.next()?));
+        let mut q = Port::new(Vec::with_capacity(self.mem.q.image.len()));
+        let mut qmax = Port::new(Vec::with_capacity(self.mem.qmax.image.len()));
+        q.horizon = r.next()?;
+        qmax.horizon = r.next()?;
+        for _ in 0..self.mem.q.image.len() {
+            q.image.push(QMem::load(&mut r)?);
         }
-        let mut qmax_mem = Vec::with_capacity(self.qmax_mem.len());
-        for _ in 0..self.qmax_mem.len() {
-            let v = V::from_bits(r.next()?);
-            qmax_mem.push((v, r.next()? as Action));
+        for _ in 0..self.mem.qmax.image.len() {
+            qmax.image.push(QmaxMem::load(&mut r)?);
         }
-        let nq = r.next()? as usize;
-        let mut pending_q = VecDeque::with_capacity(nq);
-        for _ in 0..nq {
-            pending_q.push_back(Pending {
-                commit_cycle: r.next()?,
-                addr: r.next()? as usize,
-                value: V::from_bits(r.next()?),
-            });
-        }
-        let nm = r.next()? as usize;
-        let mut pending_qmax = VecDeque::with_capacity(nm);
-        for _ in 0..nm {
-            pending_qmax.push_back(Pending {
-                commit_cycle: r.next()?,
-                addr: r.next()? as usize,
-                value: {
-                    let v = V::from_bits(r.next()?);
-                    (v, r.next()? as Action)
-                },
-            });
-        }
+        load_queue::<V, QMem>(&mut q, &mut r)?;
+        load_queue::<V, QmaxMem>(&mut qmax, &mut r)?;
         let fault = if r.next()? == 0 {
             None
         } else {
@@ -2507,9 +2280,8 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             for _ in 0..nwords {
                 words.push(r.next()?);
             }
-            let mut probe = qtaccel_telemetry::HealthProbe::new(
-                qtaccel_telemetry::HealthConfig::default(),
-            );
+            let mut probe =
+                qtaccel_telemetry::HealthProbe::new(qtaccel_telemetry::HealthConfig::default());
             probe
                 .restore_from_words(&words)
                 .map_err(|e| CheckpointError::Mismatch {
@@ -2567,20 +2339,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         self.update_rng = update_rng;
         self.carry = carry;
         self.next_c1 = next_c1;
-        self.drain_horizon_q = drain_horizon_q;
-        self.drain_horizon_qmax = drain_horizon_qmax;
-        self.q_mem = q_mem;
-        self.qmax_mem = qmax_mem;
-        self.pending_q = pending_q;
-        self.pending_qmax = pending_qmax;
-        self.fwd_q.clear();
-        for &p in &self.pending_q {
-            self.fwd_q.push(p);
-        }
-        self.fwd_qmax.clear();
-        for &p in &self.pending_qmax {
-            self.fwd_qmax.push(p);
-        }
+        self.mem = Memory { q, qmax };
         self.fault = fault;
         // Adopt the checkpoint's quantization state wholesale. A
         // quant-absent checkpoint restored into a quant-enabled pipeline
@@ -2684,10 +2443,8 @@ mod tests {
         let g = grid();
         for seed in [1u64, 7, 42, 12345] {
             let mut hw = AccelPipeline::<Q8_8>::new(&g, config(seed), 0);
-            let mut sw = RefTrainer::<Q8_8, _>::new(
-                g.clone(),
-                TrainerConfig::q_learning().with_seed(seed),
-            );
+            let mut sw =
+                RefTrainer::<Q8_8, _>::new(g.clone(), TrainerConfig::q_learning().with_seed(seed));
             hw.train_samples(&g, 20_000);
             sw.run_samples(20_000);
             assert_eq!(
@@ -2747,10 +2504,8 @@ mod tests {
         let g = GridWorld::builder(2, 2).goal(1, 1).build();
         let mut bad =
             AccelPipeline::<Q16_16>::new(&g, config(6).with_hazard(HazardMode::Ignore), 0);
-        let mut sw = RefTrainer::<Q16_16, _>::new(
-            g.clone(),
-            TrainerConfig::q_learning().with_seed(6),
-        );
+        let mut sw =
+            RefTrainer::<Q16_16, _>::new(g.clone(), TrainerConfig::q_learning().with_seed(6));
         // Compare step by step: both trajectories eventually converge to
         // the same fixed point, so the corruption is visible mid-flight,
         // not necessarily in the final table.
@@ -2826,11 +2581,57 @@ mod tests {
         p.step(&g);
     }
 
+    /// FNV-1a digest of the architectural Q and Qmax images.
+    fn image_digest<V: QValue>(p: &AccelPipeline<V>) -> u64 {
+        let mut words: Vec<u64> = p.q_table().as_slice().iter().map(|v| v.to_bits()).collect();
+        let qmax = p.qmax_table();
+        for s in 0..p.num_states() as State {
+            let (v, a) = qmax.get(s);
+            words.extend([v.to_bits(), a as u64]);
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    /// Train `cfg` on `env` for `n` samples through the cycle-accurate
+    /// engine and through the fast path; both must end on the pinned
+    /// image digest with identical stats. Returns the stats.
+    fn pinned_run(
+        env: &GridWorld,
+        cfg: AccelConfig,
+        n: u64,
+        digest: u64,
+        label: &str,
+    ) -> CycleStats {
+        let mut slow = AccelPipeline::<Q8_8>::new(env, cfg, 0);
+        let mut fast = AccelPipeline::<Q8_8>::new(env, cfg, 0);
+        let stats = slow.train_samples(env, n);
+        assert_eq!(
+            fast.train_samples_fast(env, n),
+            stats,
+            "{label}: fast stats"
+        );
+        assert_eq!(image_digest(&slow), digest, "{label}: train_samples images");
+        assert_eq!(
+            image_digest(&fast),
+            digest,
+            "{label}: train_samples_fast images"
+        );
+        stats
+    }
+
     /// Every CycleStats counter pinned to the values the scan-per-read,
     /// drain-per-read formulation produced (captured from the
-    /// pre-refactor engine). Guards the O(1) forwarding index and the
-    /// per-step commit point against any silent accounting drift, in
-    /// every hazard mode.
+    /// pre-refactor engine), and the final Q/Qmax images pinned by
+    /// digest under both `train_samples` and `train_samples_fast`.
+    /// Guards the O(1) forwarding index, the per-step commit point and
+    /// the shared stage body against any silent accounting or value
+    /// drift, in every hazard mode — including `Ignore`, whose stale-read
+    /// values no golden reference reproduces.
     #[test]
     fn hazard_mode_cycle_stats_are_pinned() {
         struct Gold {
@@ -2842,43 +2643,148 @@ mod tests {
             cycles: u64,
             stalls: u64,
             forwards: u64,
+            digest: u64,
         }
         let golds = [
-            Gold { w: 2, h: 2, seed: 21, hazard: HazardMode::Forwarding, n: 7_000, cycles: 7_003, stalls: 0, forwards: 1_859 },
-            Gold { w: 4, h: 4, seed: 9, hazard: HazardMode::Forwarding, n: 12_000, cycles: 12_003, stalls: 0, forwards: 1_714 },
-            Gold { w: 8, h: 8, seed: 5, hazard: HazardMode::Forwarding, n: 20_000, cycles: 20_003, stalls: 0, forwards: 2_433 },
-            Gold { w: 2, h: 2, seed: 21, hazard: HazardMode::StallOnly, n: 7_000, cycles: 10_853, stalls: 3_850, forwards: 0 },
-            Gold { w: 4, h: 4, seed: 9, hazard: HazardMode::StallOnly, n: 12_000, cycles: 15_351, stalls: 3_348, forwards: 0 },
-            Gold { w: 8, h: 8, seed: 5, hazard: HazardMode::StallOnly, n: 20_000, cycles: 24_312, stalls: 4_309, forwards: 0 },
-            Gold { w: 2, h: 2, seed: 21, hazard: HazardMode::Ignore, n: 7_000, cycles: 7_003, stalls: 0, forwards: 0 },
-            Gold { w: 4, h: 4, seed: 9, hazard: HazardMode::Ignore, n: 12_000, cycles: 12_003, stalls: 0, forwards: 0 },
-            Gold { w: 8, h: 8, seed: 5, hazard: HazardMode::Ignore, n: 20_000, cycles: 20_003, stalls: 0, forwards: 0 },
+            Gold {
+                w: 2,
+                h: 2,
+                seed: 21,
+                hazard: HazardMode::Forwarding,
+                n: 7_000,
+                cycles: 7_003,
+                stalls: 0,
+                forwards: 1_859,
+                digest: 0xa277_79c6_3577_cd0e,
+            },
+            Gold {
+                w: 4,
+                h: 4,
+                seed: 9,
+                hazard: HazardMode::Forwarding,
+                n: 12_000,
+                cycles: 12_003,
+                stalls: 0,
+                forwards: 1_714,
+                digest: 0xad74_6a3a_f2cc_93a0,
+            },
+            Gold {
+                w: 8,
+                h: 8,
+                seed: 5,
+                hazard: HazardMode::Forwarding,
+                n: 20_000,
+                cycles: 20_003,
+                stalls: 0,
+                forwards: 2_433,
+                digest: 0x36e3_b32d_6ffb_3fd7,
+            },
+            Gold {
+                w: 2,
+                h: 2,
+                seed: 21,
+                hazard: HazardMode::StallOnly,
+                n: 7_000,
+                cycles: 10_853,
+                stalls: 3_850,
+                forwards: 0,
+                digest: 0xa277_79c6_3577_cd0e,
+            },
+            Gold {
+                w: 4,
+                h: 4,
+                seed: 9,
+                hazard: HazardMode::StallOnly,
+                n: 12_000,
+                cycles: 15_351,
+                stalls: 3_348,
+                forwards: 0,
+                digest: 0xad74_6a3a_f2cc_93a0,
+            },
+            Gold {
+                w: 8,
+                h: 8,
+                seed: 5,
+                hazard: HazardMode::StallOnly,
+                n: 20_000,
+                cycles: 24_312,
+                stalls: 4_309,
+                forwards: 0,
+                digest: 0x36e3_b32d_6ffb_3fd7,
+            },
+            Gold {
+                w: 2,
+                h: 2,
+                seed: 21,
+                hazard: HazardMode::Ignore,
+                n: 7_000,
+                cycles: 7_003,
+                stalls: 0,
+                forwards: 0,
+                digest: 0xc9ad_18d1_6dae_d97d,
+            },
+            Gold {
+                w: 4,
+                h: 4,
+                seed: 9,
+                hazard: HazardMode::Ignore,
+                n: 12_000,
+                cycles: 12_003,
+                stalls: 0,
+                forwards: 0,
+                digest: 0x8d4c_7355_7427_6f49,
+            },
+            Gold {
+                w: 8,
+                h: 8,
+                seed: 5,
+                hazard: HazardMode::Ignore,
+                n: 20_000,
+                cycles: 20_003,
+                stalls: 0,
+                forwards: 0,
+                digest: 0x4826_0428_62a8_72bd,
+            },
         ];
         for g in &golds {
             let env = GridWorld::builder(g.w, g.h).goal(g.w - 1, g.h - 1).build();
-            let cfg = AccelConfig::default().with_seed(g.seed).with_hazard(g.hazard);
-            let mut p = AccelPipeline::<Q8_8>::new(&env, cfg, 0);
-            let stats = p.train_samples(&env, g.n);
+            let cfg = AccelConfig::default()
+                .with_seed(g.seed)
+                .with_hazard(g.hazard);
+            let label = format!("{}x{} seed {} {:?}", g.w, g.h, g.seed, g.hazard);
+            let stats = pinned_run(&env, cfg, g.n, g.digest, &label);
             assert_eq!(
-                (stats.cycles, stats.stalls, stats.forwards, stats.fill_bubbles),
+                (
+                    stats.cycles,
+                    stats.stalls,
+                    stats.forwards,
+                    stats.fill_bubbles
+                ),
                 (g.cycles, g.stalls, g.forwards, FILL),
-                "{}x{} seed {} {:?}",
-                g.w, g.h, g.seed, g.hazard
+                "{label}"
             );
         }
 
         // SARSA exercises the ε-greedy stage-2 Q read path.
         let env = GridWorld::builder(4, 4).goal(3, 3).build();
-        for (hazard, cycles, stalls) in [
-            (HazardMode::StallOnly, 18_168u64, 3_165u64),
-            (HazardMode::Ignore, 15_003, 0),
+        for (hazard, cycles, stalls, digest) in [
+            (
+                HazardMode::StallOnly,
+                18_168u64,
+                3_165u64,
+                0xa8dd_dc45_39d1_b1c0u64,
+            ),
+            (HazardMode::Ignore, 15_003, 0, 0xed93_3f47_a677_0358),
         ] {
             let mut cfg = AccelConfig::default().with_hazard(hazard);
             cfg.trainer = TrainerConfig::sarsa(0.2).with_seed(17);
             cfg.hazard = hazard;
-            let mut p = AccelPipeline::<Q8_8>::new(&env, cfg, 0);
-            let stats = p.train_samples(&env, 15_000);
-            assert_eq!((stats.cycles, stats.stalls), (cycles, stalls), "sarsa {hazard:?}");
+            let stats = pinned_run(&env, cfg, 15_000, digest, &format!("sarsa {hazard:?}"));
+            assert_eq!(
+                (stats.cycles, stats.stalls),
+                (cycles, stalls),
+                "sarsa {hazard:?}"
+            );
         }
 
         // ExactScan exercises the multi-cycle stage-2 row scan.
@@ -2886,9 +2792,18 @@ mod tests {
             .with_seed(13)
             .with_hazard(HazardMode::StallOnly)
             .with_max_mode(MaxMode::ExactScan);
-        let mut p = AccelPipeline::<Q8_8>::new(&env, cfg, 0);
-        let stats = p.train_samples(&env, 8_000);
-        assert_eq!((stats.cycles, stats.stalls), (34_617, 26_614), "exact-scan stall-only");
+        let stats = pinned_run(
+            &env,
+            cfg,
+            8_000,
+            0xc3a2_96ea_99aa_a8c3,
+            "exact-scan stall-only",
+        );
+        assert_eq!(
+            (stats.cycles, stats.stalls),
+            (34_617, 26_614),
+            "exact-scan stall-only"
+        );
     }
 
     /// The O(1) forwarding index must agree with a linear newest-writer
@@ -2936,6 +2851,9 @@ mod tests {
                 assert_eq!(p.addr, probe);
             }
         }
-        assert!(!queue.is_empty(), "interleaving should leave in-flight writes");
+        assert!(
+            !queue.is_empty(),
+            "interleaving should leave in-flight writes"
+        );
     }
 }

@@ -25,6 +25,7 @@
 //! drives the policy toward the greedy optimum.
 
 use crate::config::AccelConfig;
+use crate::pipeline::FILL;
 use crate::resources::{AccelResources, EngineKind};
 use qtaccel_core::policy::ProbTablePolicy;
 use qtaccel_core::qtable::QTable;
@@ -36,8 +37,6 @@ use qtaccel_hdl::explut::ExpLut;
 use qtaccel_hdl::lfsr::Lfsr32;
 use qtaccel_hdl::pipeline::CycleStats;
 use qtaccel_hdl::rng::SeedSequence;
-
-const FILL: u64 = 3;
 
 /// How the stage-4 probability update derives a weight from the fresh
 /// Q-value.

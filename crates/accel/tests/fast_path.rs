@@ -1,18 +1,24 @@
-//! Bit-exactness of the fast-path executors against the cycle-accurate
-//! engine: same Q-table, same Qmax table, same CycleStats, across both
-//! algorithms, every hazard mode, both Qmax semantics, the 16- and
-//! 32-bit datapaths (plus `f64` values) and randomized grid shapes — plus free interleaving of the
-//! executors on one pipeline instance, and the batch routes
-//! (`train_samples_fast`, `train_batch` with tiny, uneven and
-//! multi-chunk budgets) against per-bank cycle-accurate references.
+//! Bit-exactness of `train_samples_fast` against `train_samples`, the
+//! cycle-accurate reference: same Q-table, same Qmax table, same
+//! CycleStats and counters, across both algorithms, every hazard mode,
+//! both Qmax semantics, the 16- and 32-bit datapaths (plus `f64`
+//! values) and randomized grid shapes — plus free interleaving of the
+//! entry points on one pipeline instance (enumerated, and as a property
+//! over random configurations and switch points), and the batch routes
+//! (`train_batch` with tiny, uneven and multi-chunk budgets) against
+//! per-bank cycle-accurate references.
 //!
-//! The window-register loop runs wherever a config is eligible; the
-//! tables also feed ineligible runtimes (a counter-bearing sink, an
-//! attached fault runtime), which must reach the general executor
-//! bit-identically.
+//! The pipeline writes its stage body once over two in-flight-write
+//! models, and `train_samples_fast` routes each call: to the
+//! window-register loop wherever a config is eligible; else to the
+//! delayed-commit model (the reference itself) for an event sink or a
+//! fault runtime; else to the immediate-commit model, which a
+//! counter-bearing sink and every non-`Forwarding` or exact-scan config
+//! reach. Every route must match the reference bit for bit.
 
 use std::sync::Arc;
 
+use proptest::prelude::*;
 use qtaccel_accel::config::{AccelConfig, HazardMode};
 use qtaccel_accel::multi::IndependentPipelines;
 use qtaccel_accel::pipeline::AccelPipeline;
@@ -21,7 +27,7 @@ use qtaccel_core::policy::Policy;
 use qtaccel_core::qtable::{MaxMode, QTable, QmaxTable};
 use qtaccel_core::trainer::TrainerConfig;
 use qtaccel_envs::{ActionSet, GridWorld};
-use qtaccel_fixed::{QValue, Q16_16, Q8_8};
+use qtaccel_fixed::{QValue, QuantPolicy, Q16_16, Q8_8};
 use qtaccel_hdl::lfsr::Lfsr32;
 use qtaccel_hdl::pipeline::CycleStats;
 use qtaccel_hdl::rng::RngSource;
@@ -100,30 +106,35 @@ fn train<V: QValue, S: TraceSink>(
 
 /// Cycle-accurate ≡ fast path (window-register loop where eligible),
 /// both plain and behind a counter-bearing sink (which must reach the
-/// general executor and mirror every counter); and under a fault
-/// runtime, the plain pipeline ≡ the instrumented general executor,
-/// strike for strike. (Strikes land in the committed BRAM image, which
-/// every fast executor commits ahead of the cycle engine, so the cycle
-/// engine is not the reference under faults.)
+/// immediate-commit model and keep every counter), and under a fault
+/// runtime with either sink, strike for strike.
 fn assert_fast_matches<V: QValue>(g: &GridWorld, cfg: AccelConfig, n: u64, label: &str) {
     let slow = train::<V, _>(g, cfg, NullSink, None, false, n);
     let fast = train::<V, _>(g, cfg, NullSink, None, true, n);
     assert_eq!(slow, fast, "{label}: fast path diverged");
     let slow_sink = train::<V, _>(g, cfg, CountersOnly, None, false, n);
     let fast_sink = train::<V, _>(g, cfg, CountersOnly, None, true, n);
-    assert_eq!(slow_sink, fast_sink, "{label}: counter-sink fast path diverged");
+    assert_eq!(
+        slow_sink, fast_sink,
+        "{label}: counter-sink fast path diverged"
+    );
     let fc = Some(FaultConfig::default().with_seu_rate(1e-3));
-    let faulty = train::<V, _>(g, cfg, NullSink, fc, true, n);
+    let faulty = train::<V, _>(g, cfg, NullSink, fc, false, n);
     assert!(
         faulty.faults.is_some_and(|f| f.injected_q > 0),
         "{label}: no strikes"
     );
-    // A NullSink keeps no counters; everything else must match.
-    let faulty_sink = Outcome {
-        counters: CounterBank::new(),
-        ..train::<V, _>(g, cfg, CountersOnly, fc, true, n)
-    };
-    assert_eq!(faulty, faulty_sink, "{label}: fault-runtime fast path diverged");
+    let fast_faulty = train::<V, _>(g, cfg, NullSink, fc, true, n);
+    assert_eq!(
+        faulty, fast_faulty,
+        "{label}: fault-runtime fast path diverged"
+    );
+    let faulty_sink = train::<V, _>(g, cfg, CountersOnly, fc, false, n);
+    let fast_faulty_sink = train::<V, _>(g, cfg, CountersOnly, fc, true, n);
+    assert_eq!(
+        faulty_sink, fast_faulty_sink,
+        "{label}: fault-runtime counter-sink fast path diverged"
+    );
 }
 
 #[test]
@@ -135,6 +146,19 @@ fn fast_path_is_bit_exact_q_learning_all_hazards() {
             let cfg = AccelConfig::default().with_seed(seed).with_hazard(hazard);
             assert_fast_matches::<Q8_8>(&g, cfg, 12_000, &format!("seed {seed} {hazard:?}"));
         }
+    }
+}
+
+/// A fault campaign's result must not depend on the entry point. On
+/// this hazard-dense grid a strike can land on a word that a pending
+/// write later commits over; an executor that commits at issue keeps
+/// the strike instead, and the Q-tables diverge.
+#[test]
+fn fault_campaign_is_entry_point_independent() {
+    let g = GridWorld::builder(3, 3).goal(2, 2).build();
+    for hazard in HAZARDS {
+        let cfg = AccelConfig::default().with_seed(0xF4).with_hazard(hazard);
+        assert_fast_matches::<Q8_8>(&g, cfg, 40_000, &format!("3x3 seed 0xF4 {hazard:?}"));
     }
 }
 
@@ -313,5 +337,87 @@ fn fast_path_matches_golden_reference() {
             sw.q().as_slice(),
             "seed {seed}: fast path diverged from sequential reference"
         );
+    }
+}
+
+/// Train `cfg` for `total` samples, alternating between the entry points
+/// at each of `switches` (sample offsets, any order), starting with the
+/// fast path when `fast_first`. An empty switch list is a pure run.
+fn switching_run<S: TraceSink>(
+    g: &GridWorld,
+    cfg: AccelConfig,
+    quant: Option<QuantPolicy>,
+    sink: S,
+    total: u64,
+    switches: &[u64],
+    fast_first: bool,
+) -> Outcome<Q8_8> {
+    let mut p = AccelPipeline::<Q8_8, S>::with_sink(g, cfg, 0, sink);
+    if let Some(q) = quant {
+        p.enable_quant(q);
+    }
+    let mut cuts: Vec<u64> = switches.iter().map(|&c| c.min(total)).collect();
+    cuts.sort_unstable();
+    cuts.push(total);
+    let (mut done, mut fast) = (0, fast_first);
+    for cut in cuts {
+        if fast {
+            p.train_samples_fast(g, cut - done);
+        } else {
+            p.train_samples(g, cut - done);
+        }
+        done = cut;
+        fast = !fast;
+    }
+    outcome(&p)
+}
+
+/// Policy unit `k`: Random, Greedy or ε-greedy.
+fn policy(k: usize, epsilon: f64) -> Policy {
+    match k {
+        0 => Policy::Random,
+        1 => Policy::Greedy,
+        _ => Policy::EpsilonGreedy { epsilon },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random configurations with 1–3 random switch points between
+    /// `train_samples` and `train_samples_fast` end with exactly the
+    /// outcome of a pure `train_samples` run.
+    #[test]
+    fn random_switching_matches_cycle_engine(
+        seed in 1u64..1_000_000,
+        (w, h, eight) in (2u32..=9, 2u32..=9, any::<bool>()),
+        (hazard, exact_scan) in (0usize..3, any::<bool>()),
+        (behavior, update, epsilon) in (0usize..3, 0usize..3, 0.05f64..0.95),
+        (forward_next, q8, counters) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        (switches, fast_first) in (prop::collection::vec(0u64..6_000, 1..4), any::<bool>()),
+    ) {
+        let actions = if eight { ActionSet::Eight } else { ActionSet::Four };
+        let g = GridWorld::builder(w, h).goal(w - 1, h - 1).actions(actions).build();
+        let max_mode = if exact_scan { MaxMode::ExactScan } else { MaxMode::QmaxArray };
+        let mut cfg = AccelConfig::default()
+            .with_seed(seed)
+            .with_hazard(HAZARDS[hazard])
+            .with_max_mode(max_mode);
+        cfg.trainer.behavior = policy(behavior, epsilon);
+        cfg.trainer.update = policy(update, epsilon);
+        cfg.trainer.forward_next_action = forward_next;
+        let quant = q8.then(QuantPolicy::q8);
+        let total = 6_000;
+        if counters {
+            prop_assert_eq!(
+                switching_run(&g, cfg, quant, CountersOnly, total, &[], false),
+                switching_run(&g, cfg, quant, CountersOnly, total, &switches, fast_first)
+            );
+        } else {
+            prop_assert_eq!(
+                switching_run(&g, cfg, quant, NullSink, total, &[], false),
+                switching_run(&g, cfg, quant, NullSink, total, &switches, fast_first)
+            );
+        }
     }
 }

@@ -505,8 +505,8 @@ impl HealthProbe {
 /// carried [`HealthProbe`] the pipelines feed per retired sample.
 ///
 /// Attaching it makes the fast path's window-register loop ineligible
-/// (the general fast path and the cycle-accurate engine both take the
-/// probe hook, bit-identically); a [`crate::NullSink`] build is
+/// (the pipeline's one stage body takes the probe hook under both of
+/// its write models, bit-identically); a [`crate::NullSink`] build is
 /// untouched.
 #[derive(Debug, Clone)]
 pub struct HealthSink {

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline build, tests, lints (one clippy gate
 # over every workspace member's targets, and a warnings-denied rustdoc
-# build that fails on broken intra-doc links), the telemetry
-# zero-cost equivalence suite, the metrics-service suite plus a live
-# scrape smoke test, the fault-tolerance suites (SEU injection,
+# build that fails on broken intra-doc links), the fast-path
+# equivalence suite (train_samples_fast, whichever executor it routes
+# to, bit-exact with the cycle-accurate train_samples across hazard
+# modes, policies, sinks, fault runtimes and random switch points),
+# the telemetry zero-cost equivalence suite, the metrics-service suite
+# plus a live scrape smoke test, the fault-tolerance suites (SEU injection,
 # checkpoint/restore) with the self-gating protection-ladder campaign
 # (unprotected degrades permanently, ECC corrects, ECC+scrub recovers
 # to >=95% of fault-free optimality), the training-health suite
@@ -79,6 +82,9 @@ gate 1200 "cargo build (release, offline)" \
 
 gate 1200 "cargo test (offline)" \
   cargo test -q --offline --workspace
+
+gate 600 "fast-path equivalence suite (release)" \
+  cargo test -q --release --offline -p qtaccel-accel --test fast_path
 
 gate 600 "telemetry equivalence suite (release)" \
   cargo test -q --release --offline -p qtaccel-accel --test telemetry
