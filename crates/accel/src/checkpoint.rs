@@ -12,7 +12,9 @@
 //!
 //! ## Format
 //!
-//! A checkpoint is a sequence of little-endian `u64` words:
+//! A checkpoint is a sequence of little-endian `u64` words, encoded in
+//! one pass straight into the file image and decoded in place from the
+//! borrowed bytes:
 //!
 //! ```text
 //! word 0       magic  "QTACCKPT"
@@ -30,6 +32,13 @@
 //! is still *detected* (CRC/magic/version/truncation) and refused with a
 //! typed [`CheckpointError`] rather than restored into a half-written
 //! pipeline.
+//!
+//! The durable batch and lease calls save a shard whenever its
+//! retired-sample count crosses a multiple of the cadence, then seal its
+//! final state. The seal writes nothing when the call trained the shard
+//! and its final count is a nonzero multiple of the cadence: the last
+//! cadence save already wrote exactly those bytes. A call that trained
+//! nothing still seals.
 //!
 //! [`AccelPipeline`]: crate::AccelPipeline
 //! [`AccelPipeline::checkpoint_bytes`]: crate::AccelPipeline::checkpoint_bytes
@@ -119,94 +128,112 @@ impl std::error::Error for CheckpointError {
     }
 }
 
-/// Accumulates checkpoint payload words and seals them with the header
-/// and CRC footer.
+/// Encodes checkpoint words little-endian straight into the file image
+/// and seals it with the CRC footer.
 #[derive(Debug, Default)]
 pub(crate) struct WordWriter {
-    words: Vec<u64>,
+    bytes: Vec<u8>,
 }
 
 impl WordWriter {
-    /// A writer with the magic + version header already emitted.
-    pub(crate) fn with_header() -> Self {
-        let mut w = Self { words: Vec::new() };
+    /// A writer with the magic + version header already emitted and room
+    /// reserved for `payload_words` more words plus the CRC footer, so a
+    /// writer told the exact payload size never reallocates.
+    pub(crate) fn with_header(payload_words: usize) -> Self {
+        let mut w = Self {
+            bytes: Vec::with_capacity((payload_words + 3) * 8),
+        };
         w.push(MAGIC);
         w.push(VERSION);
         w
     }
 
     pub(crate) fn push(&mut self, word: u64) {
-        self.words.push(word);
+        self.bytes.extend_from_slice(&word.to_le_bytes());
     }
 
     pub(crate) fn push_f64(&mut self, x: f64) {
         self.push(x.to_bits());
     }
 
+    /// Words [`push_str`](Self::push_str) writes for `s`.
+    pub(crate) fn str_words(s: &str) -> usize {
+        1 + s.len().div_ceil(8)
+    }
+
     /// Append a length-prefixed UTF-8 string, padded to whole words.
     pub(crate) fn push_str(&mut self, s: &str) {
         let bytes = s.as_bytes();
         self.push(bytes.len() as u64);
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.push(u64::from_le_bytes(word));
-        }
+        self.bytes.extend_from_slice(bytes);
+        let pad = bytes.len().next_multiple_of(8) - bytes.len();
+        self.bytes.resize(self.bytes.len() + pad, 0);
     }
 
-    /// Seal: serialize all words little-endian and append the CRC word.
-    pub(crate) fn finish(self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity((self.words.len() + 1) * 8);
-        for w in &self.words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        let crc = crc32(&bytes) as u64;
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes
+    /// Seal: append the CRC word over everything written so far.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        let crc = crc32(&self.bytes) as u64;
+        self.push(crc);
+        self.bytes
     }
 }
 
-/// Cursor over a verified checkpoint payload.
+/// Cursor over a verified checkpoint payload, reading words in place
+/// from the borrowed file image.
 #[derive(Debug)]
-pub(crate) struct WordReader {
-    words: Vec<u64>,
-    pos: usize,
+pub(crate) struct WordReader<'a> {
+    /// The payload words not yet read (header and CRC footer excluded).
+    rest: &'a [u8],
 }
 
-impl WordReader {
+impl<'a> WordReader<'a> {
     /// Verify container integrity (shape, CRC, magic, version) and
     /// position the cursor on the first payload word.
-    pub(crate) fn parse(bytes: &[u8]) -> Result<Self, CheckpointError> {
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<Self, CheckpointError> {
         // Header (2 words) + CRC footer (1 word) is the minimum file.
         if !bytes.len().is_multiple_of(8) || bytes.len() < 24 {
             return Err(CheckpointError::Truncated);
         }
         let (content, footer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(footer.try_into().expect("8-byte footer"));
-        if stored != crc32(content) as u64 {
+        if word_at(footer, 0) != crc32(content) as u64 {
             return Err(CheckpointError::BadCrc);
         }
-        let words: Vec<u64> = content
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte word")))
-            .collect();
-        if words[0] != MAGIC {
+        if word_at(content, 0) != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
-        if words[1] != VERSION {
-            return Err(CheckpointError::BadVersion { found: words[1] });
+        let version = word_at(content, 1);
+        if version != VERSION {
+            return Err(CheckpointError::BadVersion { found: version });
         }
-        Ok(Self { words, pos: 2 })
+        Ok(Self {
+            rest: &content[16..],
+        })
     }
 
     pub(crate) fn next(&mut self) -> Result<u64, CheckpointError> {
-        let w = self
-            .words
-            .get(self.pos)
-            .copied()
+        Ok(word_at(self.take(1)?, 0))
+    }
+
+    /// Read a length word, refused as truncated when no payload could
+    /// hold that many items (only a forged file gets past the CRC so).
+    pub(crate) fn next_len(&mut self) -> Result<usize, CheckpointError> {
+        usize::try_from(self.next()?).map_err(|_| CheckpointError::Truncated)
+    }
+
+    /// The next `n` words' bytes as one borrowed run, refused whole
+    /// when the payload holds fewer: a bulk section pays one bounds
+    /// check, not one per word. Decode it with [`word_at`].
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+        // A run beyond the remaining payload is corruption the CRC
+        // missed only if someone forged it: refuse it before a caller
+        // allocates for it.
+        let len = n
+            .checked_mul(8)
+            .filter(|&len| len <= self.rest.len())
             .ok_or(CheckpointError::Truncated)?;
-        self.pos += 1;
-        Ok(w)
+        let (run, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Ok(run)
     }
 
     pub(crate) fn next_f64(&mut self) -> Result<f64, CheckpointError> {
@@ -217,25 +244,21 @@ impl WordReader {
     /// optional section (added by a later writer) as absent when reading
     /// an older checkpoint, instead of erroring on `Truncated`.
     pub(crate) fn remaining(&self) -> usize {
-        self.words.len().saturating_sub(self.pos)
+        self.rest.len() / 8
     }
 
     /// Read a length-prefixed string written by [`WordWriter::push_str`].
     pub(crate) fn next_str(&mut self) -> Result<String, CheckpointError> {
-        let len = self.next()? as usize;
-        // A declared length beyond the remaining payload is corruption
-        // the CRC missed only if someone forged it — still refuse.
-        if len > (self.words.len() - self.pos) * 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut bytes = Vec::with_capacity(len);
-        while bytes.len() < len {
-            let word = self.next()?.to_le_bytes();
-            let take = (len - bytes.len()).min(8);
-            bytes.extend_from_slice(&word[..take]);
-        }
-        String::from_utf8(bytes).map_err(|_| CheckpointError::BadCrc)
+        let len = self.next_len()?;
+        let text = self.take(len.div_ceil(8))?;
+        String::from_utf8(text[..len].to_vec()).map_err(|_| CheckpointError::BadCrc)
     }
+}
+
+/// Word `i` of a run of little-endian words (one from
+/// [`WordReader::take`]).
+pub(crate) fn word_at(run: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(run[8 * i..8 * i + 8].try_into().expect("8-byte word"))
 }
 
 /// Durably replace `path` with `bytes`: stage in a sibling `*.tmp`,
@@ -322,12 +345,15 @@ mod tests {
 
     #[test]
     fn writer_reader_round_trip() {
-        let mut w = WordWriter::with_header();
+        let (short, long) = ("Q8.8", "a longer string spanning words");
+        let mut w =
+            WordWriter::with_header(2 + WordWriter::str_words(short) + WordWriter::str_words(long));
         w.push(7);
         w.push_f64(0.125);
-        w.push_str("Q8.8");
-        w.push_str("a longer string spanning words");
+        w.push_str(short);
+        w.push_str(long);
         let bytes = w.finish();
+        assert_eq!(bytes.len(), 8 * 12, "header, 9 payload words, footer");
         let mut r = WordReader::parse(&bytes).expect("valid container");
         assert_eq!(r.next().unwrap(), 7);
         assert_eq!(r.next_f64().unwrap(), 0.125);
@@ -338,7 +364,7 @@ mod tests {
 
     #[test]
     fn truncated_and_corrupt_containers_are_refused() {
-        let mut w = WordWriter::with_header();
+        let mut w = WordWriter::with_header(1);
         w.push(1);
         let bytes = w.finish();
         assert!(matches!(

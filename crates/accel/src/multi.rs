@@ -529,7 +529,8 @@ pub fn shard_budget(total: u64, shards: usize, i: usize) -> u64 {
 /// [`train_batch_durable`](IndependentPipelines::train_batch_durable)
 /// and [`train_shard_durable`](IndependentPipelines::train_shard_durable):
 /// restore-or-fresh on entry, a save whenever a shard's retired-sample
-/// count crosses a multiple of `every`, and a seal at the end. With a
+/// count crosses a multiple of `every`, and a seal at the end that is
+/// skipped when the last save already wrote the final state. With a
 /// tracer, each step is a span under the parent the caller passes.
 struct Durable<'a> {
     dir: &'a Path,
@@ -608,14 +609,23 @@ impl<'a> Durable<'a> {
         })
     }
 
-    /// Seal shard `i`: its final state is durable.
+    /// Seal shard `i`: its final state is durable. When this call
+    /// `trained` the shard and its retired count ends on a cadence
+    /// multiple, the last [`run`](Self::run) save already wrote exactly
+    /// these bytes, so nothing is rewritten; a call that trained nothing
+    /// still seals (it may carry a new lease epoch, or no file yet).
     fn seal<V: QValue, S: TraceSink>(
         &self,
         i: usize,
         pipe: &AccelPipeline<V, S>,
+        trained: bool,
         parent: Option<SpanContext>,
     ) -> Result<(), CheckpointError> {
-        let ordinal = pipe.stats().samples / self.every + 1;
+        let samples = pipe.stats().samples;
+        if trained && samples.is_multiple_of(self.every) {
+            return Ok(());
+        }
+        let ordinal = samples / self.every + 1;
         self.span(parent, "checkpoint_save", i, ordinal, || {
             pipe.save_checkpoint(&shard_checkpoint_path(self.dir, i))
         })
@@ -938,8 +948,10 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     ///
     /// `checkpoint_every` is a per-shard sample cadence (a checkpoint is
     /// written whenever a shard's retired-sample count crosses a
-    /// multiple of it); every shard writes one final checkpoint when the
-    /// batch completes regardless.
+    /// multiple of it). When the batch completes every shard's final
+    /// state is on disk: a seal writes it, unless the shard trained in
+    /// this call and ended on a cadence multiple, where its last cadence
+    /// save already wrote the same bytes.
     pub fn train_batch_durable<E: Environment + Sync>(
         &mut self,
         envs: &[E],
@@ -1028,8 +1040,8 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         }
         if let Some(durable) = &durable {
             // Seal the batch: the final state of every shard is durable.
-            for (i, pipe) in self.pipes.iter().enumerate() {
-                durable.seal(i, pipe, ctx)?;
+            for ((i, pipe), shard) in self.pipes.iter().enumerate().zip(&shards) {
+                durable.seal(i, pipe, shard.samples > 0, ctx)?;
             }
             // Health-instrumented batches leave a flight recording next
             // to the sealed checkpoints: one probe snapshot per shard plus
@@ -1109,6 +1121,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
             });
         }
         pipe.set_lease_epoch(epoch);
+        let start = pipe.stats().samples;
         // Sweep only this shard's staging file, and only after the fence
         // check: sibling workers may be mid-write in the same directory.
         checkpoint::clean_stale_tmp_of(&shard_checkpoint_path(dir, shard))?;
@@ -1132,7 +1145,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
             }
         }
         // Seal: the lease's final state is durable under this epoch.
-        durable.seal(shard, pipe, None)?;
+        durable.seal(shard, pipe, pipe.stats().samples > start, None)?;
         Ok(pipe.stats().samples)
     }
 

@@ -61,7 +61,7 @@
 use std::collections::VecDeque;
 use std::path::Path;
 
-use crate::checkpoint::{self, CheckpointError, WordReader, WordWriter};
+use crate::checkpoint::{self, word_at, CheckpointError, WordReader, WordWriter};
 use crate::config::{AccelConfig, HazardMode};
 use crate::fault::{strike_word, FaultConfig, FaultRt, FaultStats, LatentError};
 use qtaccel_core::policy::Policy;
@@ -335,9 +335,21 @@ trait Mem<V> {
     const FWD_HIT: CounterId;
     fn port(mem: &mut Memory<V>) -> &mut Port<Self::Word>;
     fn ring(ring: &mut Ring<V>) -> &mut WriteRing<Self::Word>;
+    /// Checkpoint words per memory word.
+    const WORDS: usize;
     /// Checkpoint encoding of one word.
     fn save(word: Self::Word, w: &mut WordWriter);
-    fn load(r: &mut WordReader) -> Result<Self::Word, CheckpointError>;
+    /// Decode one word from its `WORDS` checkpoint words.
+    fn load(words: &[u8]) -> Self::Word;
+}
+
+/// Restore a memory image of `len` words.
+fn load_image<V, M: Mem<V>>(
+    r: &mut WordReader,
+    len: usize,
+) -> Result<Vec<M::Word>, CheckpointError> {
+    let run = r.take(len * M::WORDS)?;
+    Ok(run.chunks_exact(8 * M::WORDS).map(M::load).collect())
 }
 
 /// Checkpoint a port's in-flight write queue.
@@ -355,13 +367,14 @@ fn load_queue<V, M: Mem<V>>(
     port: &mut Port<M::Word>,
     r: &mut WordReader,
 ) -> Result<(), CheckpointError> {
-    for _ in 0..r.next()? {
-        let (commit_cycle, addr) = (r.next()?, r.next()? as usize);
-        let value = M::load(r)?;
+    let entry = 2 + M::WORDS;
+    let len = r.next_len()?;
+    let run = r.take(len.saturating_mul(entry))?;
+    for p in run.chunks_exact(8 * entry) {
         port.push(Pending {
-            commit_cycle,
-            addr,
-            value,
+            commit_cycle: word_at(p, 0),
+            addr: word_at(p, 1) as usize,
+            value: M::load(&p[16..]),
         });
     }
     Ok(())
@@ -386,11 +399,12 @@ impl<V: QValue> Mem<V> for QMem {
     fn ring(ring: &mut Ring<V>) -> &mut WriteRing<V> {
         &mut ring.q
     }
+    const WORDS: usize = 1;
     fn save(v: V, w: &mut WordWriter) {
         w.push(v.to_bits());
     }
-    fn load(r: &mut WordReader) -> Result<V, CheckpointError> {
-        Ok(V::from_bits(r.next()?))
+    fn load(words: &[u8]) -> V {
+        V::from_bits(word_at(words, 0))
     }
 }
 
@@ -407,12 +421,13 @@ impl<V: QValue> Mem<V> for QmaxMem {
     fn ring(ring: &mut Ring<V>) -> &mut WriteRing<(V, Action)> {
         &mut ring.qmax
     }
+    const WORDS: usize = 2;
     fn save((v, a): (V, Action), w: &mut WordWriter) {
         w.push(v.to_bits());
         w.push(a as u64);
     }
-    fn load(r: &mut WordReader) -> Result<(V, Action), CheckpointError> {
-        Ok((V::from_bits(r.next()?), r.next()? as Action))
+    fn load(words: &[u8]) -> (V, Action) {
+        (V::from_bits(word_at(words, 0)), word_at(words, 1) as Action)
     }
 }
 
@@ -2049,8 +2064,11 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// resumed run probes exactly the samples the unbroken run would
     /// (the stride cursor is part of the sampling plan).
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut w = WordWriter::with_header();
-        w.push_str(&V::format_name());
+        let format = V::format_name();
+        let health = self.sink.health().map(|probe| probe.checkpoint_words());
+        let payload_words = self.checkpoint_payload_words(&format, health.as_deref());
+        let mut w = WordWriter::with_header(payload_words);
+        w.push_str(&format);
         w.push(V::storage_bits() as u64);
         w.push(self.num_states as u64);
         w.push(self.num_actions as u64);
@@ -2121,13 +2139,12 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         }
         // Health probe (length-prefixed so readers without the section
         // still parse; readers of older checkpoints see it absent).
-        match self.sink.health() {
+        match &health {
             None => w.push(0),
-            Some(probe) => {
+            Some(words) => {
                 w.push(1);
-                let words = probe.checkpoint_words();
                 w.push(words.len() as u64);
-                for word in words {
+                for &word in words {
                     w.push(word);
                 }
             }
@@ -2152,7 +2169,28 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             w.push(1);
             w.push(self.lease_epoch);
         }
-        w.finish()
+        let bytes = w.finish();
+        debug_assert_eq!(bytes.len(), (payload_words + 3) * 8, "payload size drifted");
+        bytes
+    }
+
+    /// Exactly how many payload words [`checkpoint_bytes`](Self::checkpoint_bytes)
+    /// writes, so its buffer is reserved once at the file's final size.
+    fn checkpoint_payload_words(&self, format: &str, health: Option<&[u64]>) -> usize {
+        // Storage bits, dimensions, cycle stats, LFSR states, carry,
+        // next_c1 and the two horizons.
+        const FIXED: usize = 3 + 5 + 3 + 3 + 1 + 2;
+        // Fault config, injector states, scrub cursor and fault stats.
+        const FAULT_FIXED: usize = 5 + 4 + 2 + 7;
+        let images = self.mem.q.image.len() + 2 * self.mem.qmax.image.len();
+        let queues = 2 + 3 * self.mem.q.pending.len() + 4 * self.mem.qmax.pending.len();
+        let fault = 1 + self.fault.as_ref().map_or(0, |f| {
+            FAULT_FIXED + 2 + 3 * (f.q_latent.len() + f.qmax_latent.len())
+        });
+        let health = 1 + health.map_or(0, |words| 1 + words.len());
+        let quant = 1 + if self.quant.is_some() { 3 } else { 0 };
+        let lease = if self.lease_epoch != 0 { 2 } else { 0 };
+        WordWriter::str_words(format) + FIXED + images + queues + fault + health + quant + lease
     }
 
     /// Restore state captured by [`checkpoint_bytes`](Self::checkpoint_bytes)
@@ -2218,16 +2256,11 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             _ => Some((cs, Some(ca))),
         };
         let next_c1 = r.next()?;
-        let mut q = Port::new(Vec::with_capacity(self.mem.q.image.len()));
-        let mut qmax = Port::new(Vec::with_capacity(self.mem.qmax.image.len()));
-        q.horizon = r.next()?;
-        qmax.horizon = r.next()?;
-        for _ in 0..self.mem.q.image.len() {
-            q.image.push(QMem::load(&mut r)?);
-        }
-        for _ in 0..self.mem.qmax.image.len() {
-            qmax.image.push(QmaxMem::load(&mut r)?);
-        }
+        let (q_horizon, qmax_horizon) = (r.next()?, r.next()?);
+        let mut q = Port::new(load_image::<V, QMem>(&mut r, self.mem.q.image.len())?);
+        let mut qmax = Port::new(load_image::<V, QmaxMem>(&mut r, self.mem.qmax.image.len())?);
+        q.horizon = q_horizon;
+        qmax.horizon = qmax_horizon;
         load_queue::<V, QMem>(&mut q, &mut r)?;
         load_queue::<V, QmaxMem>(&mut qmax, &mut r)?;
         let fault = if r.next()? == 0 {
@@ -2275,11 +2308,12 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         let health = if r.remaining() == 0 || r.next()? == 0 {
             None
         } else {
-            let nwords = r.next()? as usize;
-            let mut words = Vec::with_capacity(nwords);
-            for _ in 0..nwords {
-                words.push(r.next()?);
-            }
+            let nwords = r.next_len()?;
+            let words: Vec<u64> = r
+                .take(nwords)?
+                .chunks_exact(8)
+                .map(|w| word_at(w, 0))
+                .collect();
             let mut probe =
                 qtaccel_telemetry::HealthProbe::new(qtaccel_telemetry::HealthConfig::default());
             probe

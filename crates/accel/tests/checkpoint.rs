@@ -5,13 +5,15 @@
 //! mismatched checkpoint files must be refused with a typed error that
 //! leaves the engine untouched.
 
-use qtaccel_accel::checkpoint::{crc32, CheckpointError};
+use qtaccel_accel::checkpoint::{crc32, CheckpointError, VERSION};
 use qtaccel_accel::config::{AccelConfig, HazardMode};
 use qtaccel_accel::qlearning::QLearningAccel;
 use qtaccel_accel::sarsa::SarsaAccel;
+use qtaccel_accel::{AccelPipeline, FaultConfig};
 use qtaccel_core::qtable::MaxMode;
 use qtaccel_envs::{ActionSet, GridWorld};
-use qtaccel_fixed::{Q16_16, Q8_8};
+use qtaccel_fixed::{QuantPolicy, Q16_16, Q8_8};
+use qtaccel_telemetry::{HealthConfig, HealthSink};
 use std::path::PathBuf;
 
 const HAZARDS: [HazardMode; 3] = [
@@ -42,6 +44,81 @@ fn fix_crc(bytes: &mut [u8]) {
     let n = bytes.len();
     let crc = crc32(&bytes[..n - 8]) as u64;
     bytes[n - 8..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+/// Checkpoints covering every section of the version-1 payload, each
+/// saved mid-flight by the cycle-accurate engine (so the in-flight write
+/// queues are non-empty), with the file's FNV-1a digest.
+fn pinned_checkpoints() -> Vec<(String, u64)> {
+    let g = grid();
+    let cfg = AccelConfig::default().with_seed(0xD16E);
+    let idle_len = QLearningAccel::<Q8_8>::new(&g, cfg)
+        .checkpoint_bytes()
+        .len();
+    let mut out = Vec::new();
+    let mut pin = |label: String, bytes: Vec<u8>| {
+        assert!(
+            bytes.len() > idle_len,
+            "{label}: saved with writes in flight"
+        );
+        out.push((label, fnv1a(&bytes)));
+    };
+    for hazard in HAZARDS {
+        let mut p = QLearningAccel::<Q8_8>::new(&g, cfg.with_hazard(hazard));
+        p.train_samples_fast(&g, 6_000);
+        p.train_samples(&g, 1_777);
+        pin(format!("{hazard:?}"), p.checkpoint_bytes());
+    }
+    let mut q8 = QLearningAccel::<Q8_8>::new(&g, cfg);
+    q8.enable_quant(QuantPolicy::q8());
+    q8.train_samples(&g, 5_555);
+    pin("q8".into(), q8.checkpoint_bytes());
+    let mut faulty = QLearningAccel::<Q8_8>::new(&g, cfg);
+    faulty.enable_faults(
+        FaultConfig::default()
+            .with_seu_rate(2e-3)
+            .with_ecc(true)
+            .with_scrub_period(3),
+    );
+    faulty.train_samples(&g, 9_001);
+    pin("faults".into(), faulty.checkpoint_bytes());
+    let mut leased = AccelPipeline::<Q8_8>::new(&g, cfg, 1);
+    leased.train_samples(&g, 4_444);
+    leased.set_lease_epoch(6);
+    pin("lease epoch".into(), leased.checkpoint_bytes());
+    let sink = HealthSink::new(HealthConfig {
+        stride: 3,
+        near_rail_bits: 4,
+    });
+    let mut probed = SarsaAccel::<Q8_8, HealthSink>::with_sink(&g, cfg, 0.2, sink);
+    probed.train_samples(&g, 3_333);
+    pin("sarsa health".into(), probed.checkpoint_bytes());
+    out
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned_to_the_version_1_format() {
+    // Recorded from the nibble-table CRC and the two-buffer codec: the
+    // slicing-by-8 kernel and the one-pass codec must not move a byte.
+    let pinned: [(&str, u64); 7] = [
+        ("Forwarding", 0xBAC3_0016_B124_999D),
+        ("StallOnly", 0x3C26_DBBA_4D77_6256),
+        ("Ignore", 0xC9EB_9188_32D3_4F4C),
+        ("q8", 0x73CB_CD01_E89D_511F),
+        ("faults", 0x5065_B48E_1A05_D9B2),
+        ("lease epoch", 0x24C1_E931_BC80_A49B),
+        ("sarsa health", 0x38E5_CE62_4528_B132),
+    ];
+    assert_eq!(VERSION, 1);
+    let pinned: Vec<(String, u64)> = pinned.iter().map(|&(l, d)| (l.to_string(), d)).collect();
+    assert_eq!(pinned_checkpoints(), pinned);
 }
 
 #[test]
@@ -185,6 +262,54 @@ fn damaged_files_are_refused_and_leave_the_engine_untouched() {
         restore_bytes(&version),
         CheckpointError::BadVersion { found: 99 }
     ));
+
+    // The same all-or-nothing rule in memory, over the whole file.
+    let reset = QLearningAccel::<Q8_8>::new(&g, cfg).checkpoint_bytes();
+    let restore_in_memory = |bytes: &[u8]| {
+        let mut fresh = QLearningAccel::<Q8_8>::new(&g, cfg);
+        let out = fresh.restore_checkpoint_bytes(bytes);
+        if out.is_err() {
+            assert_eq!(
+                fresh.checkpoint_bytes(),
+                reset,
+                "engine touched by failed restore"
+            );
+        }
+        out.map(|()| fresh)
+    };
+    // Every word-boundary truncation with the CRC re-fixed, so the
+    // payload decoder itself meets the short input. The file ends with
+    // the fault, health and quant tags; a cut that drops only the last
+    // one or two is the layout older writers produced, restored as
+    // "section absent". Every other cut is refused as truncated.
+    let content_words = good.len() / 8 - 1;
+    for kept in 0..content_words {
+        let mut cut = good[..kept * 8].to_vec();
+        cut.extend_from_slice(&u64::from(crc32(&cut)).to_le_bytes());
+        match restore_in_memory(&cut) {
+            Ok(restored) => {
+                assert!(kept + 2 >= content_words, "cut to {kept} words restored");
+                assert_eq!(restored.stats(), a.stats(), "legacy layout at {kept} words");
+                assert_eq!(restored.q_table(), a.q_table());
+            }
+            Err(CheckpointError::Truncated) => {
+                assert!(
+                    kept + 2 < content_words,
+                    "legacy layout at {kept} words refused"
+                );
+            }
+            Err(e) => panic!("cut to {kept} words: expected Truncated, got {e:?}"),
+        }
+    }
+    // Every single-byte flip, the CRC footer's own bytes included.
+    for i in 0..good.len() {
+        let mut flipped = good.clone();
+        flipped[i] ^= 0xFF;
+        match restore_in_memory(&flipped) {
+            Err(CheckpointError::BadCrc) => {}
+            other => panic!("flip at byte {i}: expected BadCrc, got {:?}", other.err()),
+        }
+    }
 
     let _ = std::fs::remove_file(&path);
 }
@@ -357,5 +482,39 @@ fn shard_lease_resumes_after_cooperative_abandon_bit_exactly() {
     assert_eq!(done, 30_000);
     assert_eq!(w2.q_table(0), reference.q_table(0), "takeover is bit-exact");
     assert_eq!(w2.qmax_table(0), reference.qmax_table(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_durable_call_that_trains_nothing_still_seals() {
+    use qtaccel_accel::{shard_checkpoint_path, IndependentPipelines};
+    use qtaccel_envs::PartitionedGrid;
+    let mut rng = qtaccel_hdl::lfsr::Lfsr32::new(34);
+    let part = PartitionedGrid::new(16, 16, 2, 2, 10, ActionSet::Four, &mut rng);
+    let dir = std::env::temp_dir().join(format!("qtaccel-seal-idle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Trained outside any durable call to a multiple of the cadence:
+    // no cadence save of this call wrote these states, so the seal must.
+    let cfg = AccelConfig::default();
+    let mut pool = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
+    pool.train_batch(part.partitions(), 4 * 8_192);
+    let report = pool
+        .train_batch_durable(part.partitions(), 4 * 8_192, &dir, 4_096)
+        .expect("idle durable call");
+    assert_eq!(
+        report.shards.iter().map(|s| s.samples).sum::<u64>(),
+        0,
+        "trains nothing"
+    );
+    let mut restored = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
+    for i in 0..4 {
+        restored
+            .restore_shard_checkpoint(i, &shard_checkpoint_path(&dir, i))
+            .expect("every shard sealed");
+        assert_eq!(restored.q_table(i), pool.q_table(i), "bank {i} q");
+        assert_eq!(restored.qmax_table(i), pool.qmax_table(i), "bank {i} qmax");
+    }
+    assert_eq!(restored.stats().samples, 4 * 8_192);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -234,3 +234,37 @@ fn durable_batch_trace_round_trips_through_the_collector() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `checkpoint_save` spans per shard lane of one traced durable batch
+/// giving each shard `per_shard` samples at cadence `every`.
+fn saves_per_lane(name: &str, per_shard: u64, every: u64) -> Vec<usize> {
+    let dir = tmp_dir(name);
+    let envs: Vec<GridWorld> = (0..SHARDS).map(|_| grid()).collect();
+    let tracer = Arc::new(SpanTracer::new(11, 1 << 12));
+    let mut pipes = IndependentPipelines::<Q8_8>::new(&envs, AccelConfig::default().with_seed(11))
+        .with_tracer(Arc::clone(&tracer));
+    let report = pipes
+        .train_batch_durable(&envs, per_shard * SHARDS as u64, &dir, every)
+        .expect("durable batch completes");
+    assert_eq!(report.dropped_spans, 0);
+    let spans = tracer.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+    (0..SHARDS as u32)
+        .map(|lane| {
+            spans
+                .iter()
+                .filter(|s| s.name == "checkpoint_save" && s.lane == lane)
+                .count()
+        })
+        .collect()
+}
+
+#[test]
+fn a_shard_ending_on_the_cadence_is_not_sealed_twice() {
+    // 150 000 samples in 64 Ki chunks cross 50 000, 100 000 and (on the
+    // last sample) 150 000 once each: three cadence saves, and the seal
+    // would rewrite the third save's bytes, so it is skipped.
+    assert_eq!(saves_per_lane("on-cadence", 150_000, 50_000), [3; SHARDS]);
+    // 160 000 is off the cadence: three cadence saves plus the seal.
+    assert_eq!(saves_per_lane("off-cadence", 160_000, 50_000), [4; SHARDS]);
+}

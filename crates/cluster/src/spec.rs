@@ -108,7 +108,14 @@ impl ClusterSpec {
     /// Fresh pipelines over the spec's terrain (per-shard seed banks
     /// assigned by index, exactly as `train_batch` does).
     pub fn pipelines(&self) -> IndependentPipelines<Q8_8> {
-        IndependentPipelines::new(self.environment().partitions(), self.accel_config())
+        self.pipelines_over(&self.environment())
+    }
+
+    /// [`pipelines`](Self::pipelines) over an already-built
+    /// [`environment`](Self::environment), for callers that also train
+    /// on it: the terrain is built once, not twice.
+    pub(crate) fn pipelines_over(&self, envs: &PartitionedGrid) -> IndependentPipelines<Q8_8> {
+        IndependentPipelines::new(envs.partitions(), self.accel_config())
     }
 
     /// Per-shard sample budgets: the deterministic split `train_batch`
@@ -125,7 +132,7 @@ impl ClusterSpec {
     /// harness compares cluster output against this bit-for-bit.
     pub fn reference_tables(&self) -> ShardTables {
         let envs = self.environment();
-        let mut pipes = self.pipelines();
+        let mut pipes = self.pipelines_over(&envs);
         pipes.train_batch(envs.partitions(), self.total_samples);
         (0..self.shards())
             .map(|i| (pipes.q_table(i), pipes.qmax_table(i)))

@@ -154,7 +154,7 @@ fn backoff(cfg: &WorkerConfig, jitter: &mut Lfsr32, attempt: u32) -> Duration {
 /// an unrecoverable error occurs.
 pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport, ClusterError> {
     let envs = spec.environment();
-    let mut pipes = spec.pipelines();
+    let mut pipes = spec.pipelines_over(&envs);
     let our_hash = spec.hash();
     let mut jitter = Lfsr32::new((cfg.worker_id as u32) ^ (spec.seed as u32) ^ 0xC1A0_5EED);
     let mut report = WorkerReport {

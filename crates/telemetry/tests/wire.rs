@@ -337,3 +337,42 @@ fn deltas_compose_associatively_across_the_wire() {
         "counters re-add exactly"
     );
 }
+
+/// The textbook CRC-32/ISO-HDLC: one reflected polynomial shift per bit.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+    /// The table-driven kernel is the bitwise CRC on every length from
+    /// 0 to 4096 bytes, entered at every start offset mod 8 (so the
+    /// eight-byte steps and the byte tail split the input every way);
+    /// the short prefixes pin the lengths a uniform draw rarely hits.
+    #[test]
+    fn crc32_matches_the_bitwise_reference(
+        bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..4097 + 7),
+    ) {
+        for offset in 0..8.min(bytes.len() + 1) {
+            let tail = &bytes[offset..];
+            let tail = &tail[..tail.len().min(4096)];
+            proptest::prop_assert_eq!(crc32(tail), crc32_bitwise(tail), "offset {}", offset);
+        }
+        for len in 0..bytes.len().min(24) {
+            let prefix = &bytes[..len];
+            proptest::prop_assert_eq!(crc32(prefix), crc32_bitwise(prefix), "prefix {}", len);
+        }
+    }
+}

@@ -30,6 +30,10 @@
 # (bench_distributed --quick --chaos: real SIGKILLs against worker
 # processes, a forced heartbeat-deadline partition, wire corruption;
 # gates on exact merged sample totals and bit-identical Q/Qmax images),
+# a perfbench smoke gate (short seeded runs of the batch-banks and
+# cluster-lease workloads must report every call correct and none
+# failed; their checks restore every durable checkpoint bit-exactly and
+# must refuse a deliberately damaged one),
 # and two instrumented quick benches that fail if (a) the
 # disabled-telemetry (NullSink) fast path or (b) the scale-out
 # executor's aggregate rate regressed >5% against the tracked
@@ -119,6 +123,24 @@ gate 600 "quantized stored-format suite (release)" \
 
 gate 600 "distributed training-cluster suite (release)" \
   cargo test -q --release --offline -p qtaccel-cluster
+
+# perfbench_smoke <workload> — a 4 s seeded end-to-end run whose last
+# stdout line (the JSON report) must say "correct": true, "failed": 0.
+perfbench_smoke() {
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload "$1" --seed 7 --seconds 4 --trace 0 | tail -n 1 |
+    python3 -c 'import json, sys
+r = json.loads(sys.stdin.read())
+print("correct", r["correct"], "attempted", r["attempted"], "failed", r["failed"])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
+}
+export -f perfbench_smoke
+
+gate 900 "perfbench smoke: batch-banks (correct, 0 failed)" \
+  bash -c 'set -o pipefail; perfbench_smoke batch-banks'
+
+gate 600 "perfbench smoke: cluster-lease (correct, 0 failed)" \
+  bash -c 'set -o pipefail; perfbench_smoke cluster-lease'
 
 gate 900 "cargo clippy (offline, deny warnings)" \
   cargo clippy --offline --workspace --all-targets -- -D warnings
